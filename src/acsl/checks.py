@@ -1,8 +1,9 @@
 """Randomized property suites, runnable from the CLI and the test suite.
 
 Every suite draws its instances from a seeded generator, checks an
-exact identity (or a float bound for the oracle suite), and reports the
-trial and failure counts; reruns with the same seed are bit-identical.
+exact identity (and a float bound in the oracle and homology suites),
+and reports the trial and failure counts; reruns with the same seed are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .surgery import (
     TermLimit,
     blow_down,
     blow_up,
+    gauss_sum,
     handle_slide,
     oracle_expectation,
     oracle_sums,
@@ -108,12 +110,13 @@ def _couplings(k: int | None) -> tuple[int, ...]:
     return DEFAULT_COUPLINGS if k is None else (k,)
 
 
-def _report(suite: str, trials: int, seed: int, k, failures: list[str]) -> dict:
+def _report(suite: str, trials: int, seed: int, k, failures: list[str], **counts) -> dict:
     return {
         "suite": suite,
         "trials": trials,
         "seed": seed,
         "k": "mixed" if k is None else k,
+        **counts,
         "failures": len(failures),
         "failure_examples": failures[:5],
         "passed": not failures,
@@ -212,6 +215,64 @@ def suite_oracle(
     return _report("oracle", trials, seed, k, failures)
 
 
+HOMOLOGY_COUPLINGS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
+
+
+def suite_homology(
+    trials: int = 1000,
+    seed: int = 0,
+    k: int | None = None,
+    max_terms: int = 4096,
+    tolerance: float = 1e-9,
+) -> dict:
+    """The homological evaluator matches both enumeration oracles.
+
+    surgery_expectation is compared with the exact Gauss-sum ratio
+    (value, zero and undefined must all agree) and with the float sums
+    (within tolerance, and undefined exactly when the float denominator
+    vanishes).  Trials whose lattices exceed max_terms are skipped and
+    counted; undefined and zero outcomes are counted, so that a run
+    which never reached them is visible.
+    """
+    rng = random.Random(seed)
+    couplings = HOMOLOGY_COUPLINGS if k is None else (k,)
+    failures = []
+    undefined = zero = skipped = 0
+    for t in range(trials):
+        kk = rng.choice(couplings)
+        p = SurgeryPresentation.make(random_presentation(rng, max_surgery=5), kk)
+        for _ in range(rng.randint(0, 3)):
+            p = random_kirby_move(rng, p)
+        try:
+            numerator, denominator = oracle_sums(p, max_terms)
+            exact_num = gauss_sum(p, True, max_terms).value
+            exact_den = gauss_sum(p, False, max_terms).value
+        except TermLimit:
+            skipped += 1
+            continue
+        try:
+            got = surgery_expectation(p)
+        except DenominatorZero:
+            got = None
+        where = f"trial {t}: k={kk} {p.link.linking} {p.link.charges}"
+        if got is None:
+            undefined += 1
+            if not exact_den.is_zero:
+                failures.append(f"{where}: undefined, exact ratio is defined")
+            if abs(denominator) >= 1e-6:
+                failures.append(f"{where}: undefined, float denominator {abs(denominator):.2e}")
+            continue
+        zero += got.is_zero
+        if exact_den.is_zero or got.value != exact_num / exact_den:
+            failures.append(f"{where}: differs from the exact ratio")
+        elif abs(denominator) < 1e-6 or abs(got.numeric - numerator / denominator) >= tolerance:
+            failures.append(f"{where}: differs from the float ratio")
+    return _report(
+        "homology", trials, seed, k, failures,
+        undefined=undefined, zero=zero, skipped=skipped,
+    )
+
+
 def _observed_with_pairing(rng: random.Random, target: int, bound: int):
     """Observed block with a unit charge plus linkings hitting the target."""
     fl = random_link(rng, max_components=3, charge_bound=bound)
@@ -281,5 +342,6 @@ SUITES = {
     "satellite": suite_satellite,
     "kirby": suite_kirby,
     "oracle": suite_oracle,
+    "homology": suite_homology,
     "manifolds": suite_manifolds,
 }

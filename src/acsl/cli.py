@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -83,6 +82,10 @@ def link_from_object(obj) -> FramedLink:
         framings = obj.get("framings", "blackboard")
         if isinstance(framings, list):
             framings = [_expect_int(f, f"framings[{i}]") for i, f in enumerate(framings)]
+        elif framings != "blackboard":
+            raise InputError(
+                f"framings: expected \"blackboard\" or a list of integers, got {framings!r}"
+            )
         try:
             compiled = linking_matrix(diagram, framings)
         except DiagramError as exc:
@@ -173,14 +176,6 @@ def link_to_json(fl: FramedLink) -> dict:
     }
 
 
-def _workers() -> int:
-    raw = os.environ.get("ACSL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"ACSL_THREADS must be an integer, got {raw!r}") from None
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
 
@@ -213,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--suite", choices=sorted(SUITES), required=True)
             cmd.add_argument("--trials", type=int, default=100)
             cmd.add_argument("--seed", type=int, default=0)
-            cmd.add_argument("--max-terms", type=int, default=10**6,
-                             help="float-oracle term cap")
+            cmd.add_argument("--max-terms", type=int, default=None,
+                             help="enumeration term cap of the oracle and homology "
+                                  "suites (default: the suite's own)")
     return parser
 
 
@@ -223,8 +219,12 @@ def run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check":
+            if args.trials < 1:
+                raise InputError(f"trials: expected a positive integer, got {args.trials}")
+            if args.k == 0:
+                raise InputError("k: coupling must be nonzero")
             kwargs = {"trials": args.trials, "seed": args.seed, "k": args.k}
-            if args.suite == "oracle":
+            if args.max_terms is not None and args.suite in ("oracle", "homology"):
                 kwargs["max_terms"] = args.max_terms
             report = SUITES[args.suite](**kwargs)
             _emit({"command": "check", **report})
@@ -242,7 +242,7 @@ def run(argv) -> int:
         elif args.command == "surgery":
             fl = link_from_object(obj)
             p = SurgeryPresentation.make(fl, level)
-            inv = surgery_expectation(p, workers=_workers())
+            inv = surgery_expectation(p)
             _emit({"command": "surgery", "k": level.k, **invariant_to_json(inv)})
         elif args.command in ("s1xs2", "s1xsigma"):
             h = homology_from_object(obj)

@@ -215,6 +215,8 @@ class CycNum:
 
     def as_root_of_unity(self) -> int | None:
         """Exponent e with self == zeta_n**e, or None if not a pure root."""
+        if self.is_zero:
+            return None
         for e in range(self.n):
             if self == root_power(self.n, e):
                 return e

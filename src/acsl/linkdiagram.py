@@ -124,7 +124,8 @@ def validate(fl: FramedLink) -> FramedLink:
         raise DiagramError("charges, roles and names must match the matrix size")
     for i, row in enumerate(fl.linking):
         if len(row) != n:
-            raise DiagramError(f"linking row {i} has length {len(row)}, expected {n}")
+            raise DiagramError(f"linking[{i}] has length {len(row)}, expected {n}")
+    for i, row in enumerate(fl.linking):
         for j, entry in enumerate(row):
             if not isinstance(entry, int) or isinstance(entry, bool):
                 raise DiagramError(f"linking[{i}][{j}] is not an integer: {entry!r}")

@@ -71,11 +71,11 @@ def _extended(observed: FramedLink, columns, framings) -> FramedLink:
         row = [columns[c][i] for i in range(n)] + [0] * extra
         row[n + c] = framings[c]
         matrix.append(row)
-    return FramedLink(
-        tuple(tuple(row) for row in matrix),
-        observed.charges + (0,) * extra,
-        observed.roles + (SURGERY,) * extra,
-        observed.names + tuple(f"S{c + 1}" for c in range(extra)),
+    return FramedLink.make(
+        matrix,
+        charges=observed.charges + (0,) * extra,
+        roles=observed.roles + (SURGERY,) * extra,
+        names=observed.names + tuple(f"S{c + 1}" for c in range(extra)),
     )
 
 

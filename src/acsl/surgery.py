@@ -1,19 +1,35 @@
 """Surgery presentations, exact Gauss sums and Kirby moves.
 
 The expectation value in the 3-manifold presented by an integer-framed
-surgery link is the exact ratio of two cyclotomic Gauss sums: the
-numerator sums the S^3 phase over all colour assignments of the surgery
+surgery link is the ratio of two cyclotomic Gauss sums: the numerator
+sums the S^3 phase over all colour assignments of the surgery
 components (each surgery component carries the uniform colour state,
 i.e. every residue mod 2|k| once), with the observed charges in place;
 the denominator is the same sum with the observed charges removed.
 
-A Gauss sum is evaluated by walking the colour lattice in reflected
-mixed-radix Gray-code order, updating the quadratic form incrementally
-as one coordinate changes, and tallying integer counts per phase
-residue mod 4|k|; a single cyclotomic reduction of the count histogram
-then yields the exact value.  Surgery components that never interact
-(no linking between them) factor into independent sub-lattices, which
-keeps blow-ups cheap.
+That ratio is homological, and surgery_expectation computes it in that
+form.  With A the surgery block of the linking matrix, b = L[S,O].q the
+observed charges seen by the surgery components, C the observed block,
+m = 2|k| and n = 4|k|:
+
+* the ratio is undefined when some y with A y = 0 (mod m) has
+  y.Ay != 0 (mod n), because the denominator then cancels over the
+  cosets of that kernel;
+* otherwise it is zero unless A x = b (mod m) has a solution x;
+* otherwise it is the phase zeta_n**(-sign(k) (q.Cq - x.Ax)).
+
+Both tests read off a diagonal form of A modulo m (_smith_mod), so the
+cost is polynomial in the number of surgery components.
+
+gauss_sum evaluates either sum exactly by walking the colour lattice in
+reflected mixed-radix Gray-code order, updating the quadratic form
+incrementally as one coordinate changes, and tallying integer counts
+per phase residue mod 4|k|; a single cyclotomic reduction of the count
+histogram then yields the exact value.  Surgery components that never
+interact (no linking between them) factor into independent
+sub-lattices.  Its cost grows as (2|k|)**s, so it serves only as the
+exact oracle that surgery_expectation is tested against, beside the
+float oracle oracle_sums.
 """
 
 from __future__ import annotations
@@ -21,14 +37,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum, root_power
-from .invariants import CouplingLevel, Invariant
-from .linkdiagram import OBSERVED, SURGERY, FramedLink, validate
-
-_PARALLEL_THRESHOLD = 4096
+from .invariants import CouplingLevel, Invariant, PhaseExponent, quadratic_form
+from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
 
 class DenominatorZero(ArithmeticError):
@@ -36,7 +49,7 @@ class DenominatorZero(ArithmeticError):
 
 
 class TermLimit(ValueError):
-    """The float oracle was asked for more terms than its cap allows."""
+    """An enumeration oracle was asked for more terms than its cap allows."""
 
 
 class NotSurgery(ValueError):
@@ -60,7 +73,9 @@ class SurgeryPresentation:
 
     @classmethod
     def make(cls, link: FramedLink, k) -> SurgeryPresentation:
-        return cls(validate(link), CouplingLevel.of(k))
+        """Pair a link with a coupling.  The link is taken as valid: it
+        comes from FramedLink.make, or from a library operation on one."""
+        return cls(link, CouplingLevel.of(k))
 
     @property
     def k(self) -> int:
@@ -94,8 +109,8 @@ def _groups(indices: list[int], linking) -> list[list[int]]:
     return groups
 
 
-def _histogram(block, linear, m: int, n_mod: int, offset: int) -> list[int]:
-    """Counts per residue of q(c) = c.Bc + 2 lin.c + offset over Z_m^s.
+def _histogram(block, linear, m: int, n_mod: int) -> list[int]:
+    """Counts per residue of q(c) = c.Bc + 2 lin.c over Z_m^s, s >= 1.
 
     Enumerates colour vectors in reflected mixed-radix Gray-code order
     (Knuth's loopless algorithm); each step changes one coordinate by
@@ -103,12 +118,9 @@ def _histogram(block, linear, m: int, n_mod: int, offset: int) -> list[int]:
     """
     s = len(linear)
     hist = [0] * n_mod
-    if s == 0:
-        hist[offset % n_mod] += 1
-        return hist
     c = [0] * s
-    value = offset
-    hist[value % n_mod] += 1
+    value = 0
+    hist[0] += 1
     focus = list(range(s + 1))
     direction = [1] * s
     while True:
@@ -133,27 +145,6 @@ def _histogram(block, linear, m: int, n_mod: int, offset: int) -> list[int]:
     return hist
 
 
-def _group_histogram(block, linear, m, n_mod, workers: int) -> list[int]:
-    """Histogram for one group, partitioned by the first coordinate when
-    a worker pool is requested; partial histograms merge by addition."""
-    s = len(linear)
-    if workers <= 1 or s < 2 or m**s < _PARALLEL_THRESHOLD:
-        return _histogram(block, linear, m, n_mod, 0)
-
-    def chunk(v: int) -> list[int]:
-        sub_block = [row[1:] for row in block[1:]]
-        sub_linear = [linear[i] + block[i][0] * v for i in range(1, s)]
-        offset = block[0][0] * v * v + 2 * linear[0] * v
-        return _histogram(sub_block, sub_linear, m, n_mod, offset)
-
-    hist = [0] * n_mod
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for partial in pool.map(chunk, range(m)):
-            for e, count in enumerate(partial):
-                hist[e] += count
-    return hist
-
-
 def _phase_combination(hist: list[int], level: CouplingLevel) -> CycNum:
     """Sum of hist[e] * zeta**(-sign(k) e) as one cyclotomic reduction."""
     n = level.root_order
@@ -165,20 +156,26 @@ def _phase_combination(hist: list[int], level: CouplingLevel) -> CycNum:
 
 
 def gauss_sum(
-    p: SurgeryPresentation, include_observed: bool, workers: int = 1
+    p: SurgeryPresentation, include_observed: bool, max_terms: int = 10**6
 ) -> GaussSum:
     """Sum of S^3 phases over all colourings of the surgery components.
 
     Each surgery component ranges over the residues 0..2|k|-1; observed
     components keep their charges, or are set to 0 when
     include_observed is false.  An empty surgery link gives the single
-    phase of the observed charges.
+    phase of the observed charges.  Raises TermLimit, before walking
+    anything, when the sub-lattices to walk hold more than max_terms
+    colour vectors in total.
     """
     fl = p.link
     level = p.level
     m = level.colour_modulus
     n = level.root_order
     surgery = list(fl.surgery())
+    groups = _groups(surgery, fl.linking)
+    walked = sum(m ** len(group) for group in groups)
+    if walked > max_terms:
+        raise TermLimit(f"{walked} colour vectors exceed the cap of {max_terms}")
     charges = [
         q if include_observed and r == OBSERVED else 0
         for q, r in zip(fl.charges, fl.roles)
@@ -192,31 +189,126 @@ def gauss_sum(
             )
     value = root_power(n, (-level.sign * constant) % n)
 
-    for group in _groups(surgery, fl.linking):
+    for group in groups:
         block = [[fl.linking[i][j] for j in group] for i in group]
         linear = [
             sum(fl.linking[i][j] * qj for j, qj in enumerate(charges))
             for i in group
         ]
-        hist = _group_histogram(block, linear, m, n, workers)
+        hist = _histogram(block, linear, m, n)
         value = value * _phase_combination(hist, level)
     return GaussSum(value, m ** len(surgery))
 
 
-def surgery_expectation(p: SurgeryPresentation, workers: int = 1) -> Invariant:
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _clearing_op(pivot: int, entry: int) -> tuple[int, int, int, int]:
+    """Determinant-one (x, y, u, v) sending (pivot, entry) to (g, 0).
+
+    When the pivot already divides the entry, the pivot line is left
+    as it is (x, y = 1, 0); taking the Bezout pair there would swap
+    equal entries back and forth without end.
+    """
+    if pivot and entry % pivot == 0:
+        return 1, 0, -(entry // pivot), 1
+    g, x, y = _ext_gcd(pivot, entry)
+    return x, y, -(entry // g), pivot // g
+
+
+def _mix_rows(rows: list[list[int]], t: int, i: int, op, m: int) -> None:
+    x, y, u, v = op
+    top, other = rows[t], rows[i]
+    rows[t] = [(x * a + y * b) % m for a, b in zip(top, other)]
+    rows[i] = [(u * a + v * b) % m for a, b in zip(top, other)]
+
+
+def _mix_columns(rows: list[list[int]], t: int, j: int, op, m: int) -> None:
+    x, y, u, v = op
+    for row in rows:
+        a, b = row[t], row[j]
+        row[t] = (x * a + y * b) % m
+        row[j] = (u * a + v * b) % m
+
+
+def _smith_mod(a, m: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Diagonalise a square integer matrix modulo m.
+
+    Returns (U, d, V) with U.a.V = diag(d) (mod m).  U and V are
+    products of determinant-one row and column operations, so they are
+    invertible mod m.  Every entry is kept as a residue in [0, m), so
+    coefficients never grow.  Each pivot only ever moves to a proper
+    divisor of itself, so the elimination ends.
+    """
+    s = len(a)
+    work = [[entry % m for entry in row] for row in a]
+    u = [[int(i == j) for j in range(s)] for i in range(s)]
+    v = [[int(i == j) for j in range(s)] for i in range(s)]
+    for t in range(s):
+        while True:
+            for i in range(t + 1, s):
+                if work[i][t]:
+                    op = _clearing_op(work[t][t], work[i][t])
+                    _mix_rows(work, t, i, op, m)
+                    _mix_rows(u, t, i, op, m)
+            for j in range(t + 1, s):
+                if work[t][j]:
+                    op = _clearing_op(work[t][t], work[t][j])
+                    _mix_columns(work, t, j, op, m)
+                    _mix_columns(v, t, j, op, m)
+            if not any(work[i][t] for i in range(t + 1, s)):
+                break
+    return u, [work[t][t] for t in range(s)], v
+
+
+def _form(a, y) -> int:
+    """The integer y.Ay."""
+    return sum(yi * sum(aij * yj for aij, yj in zip(row, y)) for yi, row in zip(y, a))
+
+
+def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     """Exact expectation value in the presented 3-manifold.
 
-    The ratio of the charged Gauss sum to the empty one; exactly zero
-    iff the numerator vanishes, and undefined (DenominatorZero) when the
-    normalizing sum itself vanishes at this coupling.
+    Equal to the ratio gauss_sum(p, True) / gauss_sum(p, False), but
+    computed from the homology of the surgery block (see the module
+    docstring): DenominatorZero when the normalizing sum vanishes at
+    this coupling, exact zero when the observed charges are not in the
+    image of the surgery block mod 2|k|, and a phase otherwise.
     """
-    denominator = gauss_sum(p, include_observed=False, workers=workers).value
-    if denominator.is_zero:
-        raise DenominatorZero(
-            f"normalizing Gauss sum vanishes at k={p.level.k} for this presentation"
-        )
-    numerator = gauss_sum(p, include_observed=True, workers=workers).value
-    return Invariant.of(numerator / denominator)
+    fl = p.link
+    level = p.level
+    m = level.colour_modulus
+    n = level.root_order
+    surgery = fl.surgery()
+    observed = fl.observed()
+    a = [[fl.linking[i][j] for j in surgery] for i in surgery]
+    b = [sum(fl.linking[i][j] * fl.charges[j] for j in observed) for i in surgery]
+    u, d, v = _smith_mod(a, m)
+    steps = [m // math.gcd(di, m) for di in d]
+    for i, step in enumerate(steps):
+        y = [row[i] * step % m for row in v]
+        if _form(a, y) % n:
+            raise DenominatorZero(
+                f"normalizing Gauss sum vanishes at k={level.k}: the kernel "
+                f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}"
+            )
+    x = [0] * len(surgery)
+    for i, (di, step) in enumerate(zip(d, steps)):
+        g = m // step
+        target = sum(uij * bj for uij, bj in zip(u[i], b)) % m
+        if target % g:
+            return Invariant.zero(n)
+        z = target // g * pow(di // g, -1, step) % step
+        x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
+    phase = quadratic_form(fl, OBSERVED) - _form(a, x)
+    return Invariant.from_phase(PhaseExponent.from_quadratic(level, phase))
 
 
 def _with_link(p: SurgeryPresentation, link: FramedLink) -> SurgeryPresentation:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
+import warnings
 
 import pytest
 
+from acsl import FramedLink, SurgeryPresentation, blow_up, handle_slide, s3_expectation
 from acsl.cli import link_from_object, link_to_json, load_link_json, run
 
 HOPF = {"linking": [[0, 1], [1, 0]], "charges": [1, 1]}
@@ -154,7 +157,7 @@ def test_check_suite(tmp_path, capsys):
 
 
 def test_check_all_suites_small(capsys):
-    for suite in ("periodicity", "satellite", "oracle", "manifolds"):
+    for suite in ("periodicity", "satellite", "oracle", "homology", "manifolds"):
         code, out, _ = run_json(
             capsys, ["check", "--suite", suite, "--trials", "10", "--seed", "1"]
         )
@@ -207,12 +210,61 @@ def test_k_zero_rejected(tmp_path, capsys):
     assert code == 2
 
 
-def test_acsl_threads_env(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "mer.json", {**MERIDIAN, "charges": [2, 0]})
-    monkeypatch.setenv("ACSL_THREADS", "3")
-    code, out, _ = run_json(capsys, ["surgery", "--input", path, "--k", "1"])
-    assert code == 0
-    assert out["phase_exponent"] == 0
-    monkeypatch.setenv("ACSL_THREADS", "zippy")
-    code, _, err = run_json(capsys, ["surgery", "--input", path, "--k", "1"])
+def test_ragged_linking_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "ragged.json", {"linking": [[0, 0], []], "charges": [1, 1]})
+    code, _, err = run_json(capsys, ["s3", "--input", path, "--k", "1"])
     assert code == 2
+    assert err["error"] == "InputError"
+    assert "linking[1]" in err["message"]
+
+
+def test_non_list_framings_is_input_error(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "hopf_pd.json",
+        {"pd": "X(4,1,3,2) X(1,4,2,3)", "components": [[1, 2], [3, 4]], "framings": 5},
+    )
+    code, _, err = run_json(capsys, ["s3", "--input", path, "--k", "1"])
+    assert code == 2
+    assert err["error"] == "InputError"
+    assert "framings" in err["message"]
+
+
+def test_nonpositive_trials_is_input_error(capsys):
+    code, out, err = run_json(capsys, ["check", "--suite", "kirby", "--trials", "-5", "--k", "1"])
+    assert code == 2 and out is None
+    assert "trials" in err["message"]
+
+
+def test_check_zero_coupling_is_input_error(capsys):
+    code, _, err = run_json(capsys, ["check", "--suite", "kirby", "--trials", "5", "--k", "0"])
+    assert code == 2
+    assert err["error"] == "InputError"
+
+
+def test_charged_surgery_component_warns_once(tmp_path, capsys):
+    path = write(tmp_path, "charged.json", {**MERIDIAN, "charges": [1, 2]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_json(capsys, ["surgery", "--input", path, "--k", "1"])
+    assert code == 0
+    assert len(caught) == 1
+
+
+def test_connected_twelve_component_surgery_answers_fast(tmp_path, capsys):
+    # 12 blow-ups slid into one chain: 10**12 colourings at k=5, which
+    # the enumeration could not finish; surgery on them leaves S^3.
+    hopf = FramedLink.make(HOPF["linking"], charges=HOPF["charges"])
+    p = SurgeryPresentation.make(hopf, 5)
+    for _ in range(12):
+        p = blow_up(p, 1)
+    for i in range(2, 13):
+        p = handle_slide(p, i, i + 1, 1)
+    assert all(p.link.linking[i][i + 1] for i in range(2, 13))
+    path = write(tmp_path, "chain.json", link_to_json(p.link))
+    start = time.perf_counter()
+    code, out, _ = run_json(capsys, ["surgery", "--input", path, "--k", "5"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out["phase_exponent"] == s3_expectation(hopf, 5).phase_exponent()
+

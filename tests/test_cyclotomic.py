@@ -146,3 +146,13 @@ def test_powers():
     assert z**0 == CycNum.one(20)
     assert z**7 == root_power(20, 21)
     assert z**-3 == root_power(20, -9)
+
+
+def test_zero_is_no_root_of_unity_without_a_scan(monkeypatch):
+    import acsl.cyclotomic as cyclotomic
+
+    def scanned(n, e):
+        raise AssertionError("zero element scanned the roots")
+
+    monkeypatch.setattr(cyclotomic, "root_power", scanned)
+    assert CycNum.zero(400).as_root_of_unity() is None

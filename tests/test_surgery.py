@@ -22,8 +22,8 @@ from acsl import (
     s3_expectation,
     surgery_expectation,
 )
-from acsl.checks import random_kirby_move, random_presentation
-from acsl.surgery import NotIsolated, NotSurgery, NotUnitFramed
+from acsl.checks import random_kirby_move, random_presentation, suite_homology
+from acsl.surgery import NotIsolated, NotSurgery, NotUnitFramed, _smith_mod
 
 
 def presentation(matrix, charges=None, roles=None, k=1) -> SurgeryPresentation:
@@ -288,26 +288,49 @@ def test_oracle_term_limit():
         oracle_sums(p, max_terms=1000)
 
 
-def test_worker_partitioning_is_exact():
-    rng = random.Random(25)
-    for _ in range(10):
-        p = random_surgery(rng, max_surgery=3)
-        for include in (True, False):
-            serial = gauss_sum(p, include, workers=1)
-            parallel = gauss_sum(p, include, workers=3)
-            assert serial.value == parallel.value
-            assert serial.terms == parallel.terms
+def test_gauss_sum_term_limit():
+    # a connected 5-component block walks 6**5 = 7776 vectors at k=3
+    p = presentation([[1] * 5 for _ in range(5)], roles=["surgery"] * 5, k=3)
+    with pytest.raises(TermLimit):
+        gauss_sum(p, False, max_terms=7775)
+    assert gauss_sum(p, False, max_terms=7776).terms == 7776
+    # isolated blow-ups factor: 12 of them walk 12 * 10 vectors, not 10**12
+    q = presentation([[0]], charges=[1], k=5)
+    for _ in range(12):
+        q = blow_up(q, 1)
+    assert gauss_sum(q, True, max_terms=120).terms == 10**12
 
 
-def test_worker_partitioning_large_group():
-    # force the chunked path: dense 5-component block at k=3 (7776 vectors)
-    rng = random.Random(26)
-    matrix = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
-    for i in range(5):
-        for j in range(5):
-            matrix[i][j] = matrix[j][i]
-    p = presentation(matrix, roles=["surgery"] * 5, k=3)
-    assert (
-        gauss_sum(p, False, workers=1).value
-        == gauss_sum(p, False, workers=4).value
-    )
+def _det_mod(matrix, m):
+    """Determinant mod m by cofactor expansion (small matrices only)."""
+    if not matrix:
+        return 1 % m
+    return sum(
+        (-1) ** j * matrix[0][j] * _det_mod([row[:j] + row[j + 1:] for row in matrix[1:]], m)
+        for j in range(len(matrix))
+    ) % m
+
+
+def test_smith_mod_diagonalises():
+    rng = random.Random(29)
+    cases = [([[3, 3], [3, 3]], 6), ([[4, 2], [2, 4]], 6), ([], 4), ([[0]], 2)]
+    for _ in range(300):
+        s = rng.randint(1, 5)
+        cases.append(([[rng.randint(-40, 40) for _ in range(s)] for _ in range(s)], rng.randint(2, 30)))
+    for a, m in cases:
+        s = len(a)
+        u, d, v = _smith_mod(a, m)
+        product = [
+            [sum(u[i][r] * a[r][c] * v[c][j] for r in range(s) for c in range(s)) % m for j in range(s)]
+            for i in range(s)
+        ]
+        assert product == [[d[i] if i == j else 0 for j in range(s)] for i in range(s)]
+        assert _det_mod(u, m) == 1 % m and _det_mod(v, m) == 1 % m
+
+
+def test_homology_suite_reaches_every_outcome():
+    report = suite_homology(trials=1000, seed=0)
+    assert report["passed"] and report["failures"] == 0
+    assert report["undefined"] > 0 and report["zero"] > 0
+    assert report["skipped"] < report["trials"] // 2
+
