@@ -13,7 +13,6 @@ import json
 import sys
 import warnings
 
-from .checks import SUITES
 from .cyclotomic import CycNum
 from .invariants import (
     CouplingLevel,
@@ -29,8 +28,6 @@ from .linkdiagram import (
     linking_matrix,
     parse_pd,
 )
-from .manifolds import HomologyData, s1xs2_expectation, s1xsigma_expectation
-from .surgery import DenominatorZero, SurgeryPresentation, surgery_expectation
 
 
 class InputError(ValueError):
@@ -118,7 +115,9 @@ def load_link_json(path: str) -> FramedLink:
     return link_from_object(_read_json(path))
 
 
-def homology_from_object(obj) -> HomologyData:
+def homology_from_object(obj):
+    from . import HomologyData
+
     if not isinstance(obj, dict) or "genus" not in obj:
         raise InputError("top level: homology input needs 'genus', 'N', 'q_self'")
     genus = _expect_int(obj["genus"], "genus")
@@ -158,12 +157,15 @@ def cyc_to_json(value: CycNum) -> dict:
 
 
 def invariant_to_json(inv: Invariant) -> dict:
+    """The result fields; the cyclotomic coordinates are built here, once."""
+    value = inv.value
+    numeric = value.embed()
     return {
         "zero": inv.is_zero,
         "order": inv.order,
         "phase_exponent": inv.phase_exponent(),
-        "value": cyc_to_json(inv.value),
-        "numeric": [inv.numeric.real, inv.numeric.imag],
+        "value": cyc_to_json(value),
+        "numeric": [numeric.real, numeric.imag],
     }
 
 
@@ -205,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", metavar="PATH", help="JSON input file")
         cmd.add_argument("--k", type=int, default=None, help="coupling (nonzero integer)")
         if name == "check":
-            cmd.add_argument("--suite", choices=sorted(SUITES), required=True)
+            cmd.add_argument("--suite", metavar="NAME", required=True,
+                             help="property suite to run (listed in the README)")
             cmd.add_argument("--trials", type=int, default=100)
             cmd.add_argument("--seed", type=int, default=0)
             cmd.add_argument("--max-terms", type=int, default=None,
@@ -215,10 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Execute one job; returns the process exit code."""
+    """Execute one job; returns the process exit code.
+
+    Subcommands import what they use beyond the S^3 path through the
+    package's public names, which is where perfbench/tracing.py wraps them.
+    """
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check":
+            from .checks import SUITES
+
+            if args.suite not in SUITES:
+                raise InputError(f"suite: expected one of {', '.join(SUITES)}, got {args.suite!r}")
             if args.trials < 1:
                 raise InputError(f"trials: expected a positive integer, got {args.trials}")
             if args.k == 0:
@@ -240,11 +251,17 @@ def run(argv) -> int:
             inv = s3_expectation(fl, level)
             _emit({"command": "s3", "k": level.k, **invariant_to_json(inv)})
         elif args.command == "surgery":
+            from . import DenominatorZero, SurgeryPresentation, surgery_expectation
+
             fl = link_from_object(obj)
-            p = SurgeryPresentation.make(fl, level)
-            inv = surgery_expectation(p)
+            try:
+                inv = surgery_expectation(SurgeryPresentation.make(fl, level))
+            except DenominatorZero as exc:
+                return _fail(exc, 3)
             _emit({"command": "surgery", "k": level.k, **invariant_to_json(inv)})
         elif args.command in ("s1xs2", "s1xsigma"):
+            from . import s1xs2_expectation, s1xsigma_expectation
+
             h = homology_from_object(obj)
             evaluate = s1xs2_expectation if args.command == "s1xs2" else s1xsigma_expectation
             try:
@@ -265,13 +282,11 @@ def run(argv) -> int:
                 after = s3_expectation(expanded, level)
                 payload["invariant_before"] = invariant_to_json(before)
                 payload["invariant_after"] = invariant_to_json(after)
-                payload["equal"] = before.value == after.value
+                payload["equal"] = before == after
             _emit(payload)
         return 0
     except (InputError, SurgeryComponentError) as exc:
         return _fail(exc, 2)
-    except DenominatorZero as exc:
-        return _fail(exc, 3)
 
 
 def main() -> None:

@@ -11,10 +11,10 @@ only for reporting and for test oracles.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -25,9 +25,26 @@ class OrderMismatch(ValueError):
     """Arithmetic between elements of different root orders."""
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def totient(n: int) -> int:
     """Euler totient, the degree of the n-th cyclotomic polynomial."""
-    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -62,54 +79,53 @@ class IntPoly:
         return out
 
 
-def _int_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials; den must be monic here."""
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, d in enumerate(den):
-            num[i - deg_d + j] -= c * d
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial Phi_n.
 
-    Computed by dividing x**n - 1 by the product of Phi_d over the
-    proper divisors d of n, all in exact integer arithmetic.
+    For n > 1, Phi_n is the Moebius product of the binomials 1 - x**d
+    over the divisors d of n with n/d squarefree, each raised to
+    mu(n/d).  Every factor is a unit in Z[[x]], so the product is built
+    in integers as a power series truncated at degree phi(n): a factor
+    1 - x**d subtracts a shifted copy, and its inverse
+    1 + x**d + x**2d + ... adds one.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _int_div_exact(poly, list(cyclotomic_polynomial(d).coeffs))
-    return IntPoly(tuple(poly))
+    if n == 1:
+        return IntPoly((-1, 1))
+    degree = totient(n)
+    coeffs = [1] + [0] * degree
+    primes = _prime_factors(n)
+    for mask in range(1 << len(primes)):
+        chosen = [p for bit, p in enumerate(primes) if mask >> bit & 1]
+        d = n // math.prod(chosen)
+        if len(chosen) % 2 == 0:
+            for i in range(degree, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:
+            for i in range(d, degree + 1):
+                coeffs[i] += coeffs[i - d]
+    return IntPoly(tuple(coeffs))
 
 
-def _reduce(n: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce arbitrary-degree coordinates modulo Phi_n; pad to phi(n)."""
-    phi = cyclotomic_polynomial(n)
-    deg = phi.degree
-    work = list(raw)
+def _reduce(n: int, raw: list) -> tuple[Fraction, ...]:
+    """Reduce coordinates of any degree modulo Phi_n, padded to phi(n).
+
+    Only the nonzero lower terms of the monic Phi_n are subtracted, so
+    sparse moduli such as Phi_4000 = Phi_10(x**400) reduce quickly, and
+    integer coordinates are reduced in integers.
+    """
+    phi = cyclotomic_polynomial(n).coeffs
+    deg = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    work = list(raw) + [0] * (deg - len(raw))
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
-        if c == 0:
-            continue
-        work[i] = Fraction(0)
-        for j in range(deg):
-            work[i - deg + j] -= c * phi.coeffs[j]
-    out = work[:deg]
-    out.extend([Fraction(0)] * (deg - len(out)))
-    return tuple(out)
+        if c:
+            for j, pj in terms:
+                work[i - deg + j] -= c * pj
+    return tuple(Fraction(c) for c in work[:deg])
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,7 @@ class CycNum:
     @classmethod
     def from_coeffs(cls, n: int, raw) -> CycNum:
         """Build from coordinates of any degree (reduced modulo Phi_n)."""
-        return cls(n, _reduce(n, [Fraction(c) for c in raw]))
+        return cls(n, _reduce(n, [c if isinstance(c, int) else Fraction(c) for c in raw]))
 
     @classmethod
     def zero(cls, n: int) -> CycNum:
@@ -213,15 +229,6 @@ class CycNum:
             out = out * z + float(c)
         return out
 
-    def as_root_of_unity(self) -> int | None:
-        """Exponent e with self == zeta_n**e, or None if not a pure root."""
-        if self.is_zero:
-            return None
-        for e in range(self.n):
-            if self == root_power(self.n, e):
-                return e
-        return None
-
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
@@ -289,8 +296,3 @@ def root_power(n: int, e: int) -> CycNum:
         raise ValueError(f"order must be positive, got {n}")
     e %= n
     return CycNum.from_coeffs(n, [0] * e + [1])
-
-
-def embed_numeric(a: CycNum) -> complex:
-    """Evaluate at zeta_n = exp(2*pi*i/n) in double precision."""
-    return a.embed()

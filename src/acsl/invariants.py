@@ -9,8 +9,7 @@ and preserve that value, which the property tests check exactly.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclotomic import CycNum, root_power
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
@@ -66,40 +65,50 @@ class PhaseExponent:
         """Exponent -sign(k) * form_value at root order 4|k|."""
         return cls(-level.sign * form_value, level.root_order)
 
-    def value(self) -> CycNum:
-        return root_power(self.order, self.exponent)
-
-    def embed(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.exponent / self.order)
-
 
 @dataclass(frozen=True)
 class Invariant:
-    """Result of an expectation value: exact zero or a cyclotomic number."""
+    """Result of an expectation value: exact zero or the root zeta_order**exponent.
 
-    value: CycNum
-    is_zero: bool
-    numeric: complex = field(compare=False)
+    Every evaluator knows the exponent, so it is carried as it is, with
+    None for exact zero; equality compares (order, exponent).  The
+    cyclotomic coordinates are built only when value is read.
+    """
 
-    @classmethod
-    def of(cls, value: CycNum) -> Invariant:
-        return cls(value, value.is_zero, value.embed())
+    order: int
+    exponent: int | None
+
+    def __post_init__(self) -> None:
+        if self.exponent is not None:
+            object.__setattr__(self, "exponent", self.exponent % self.order)
 
     @classmethod
     def zero(cls, order: int) -> Invariant:
-        return cls.of(CycNum.zero(order))
+        return cls(order, None)
 
     @classmethod
     def from_phase(cls, phase: PhaseExponent) -> Invariant:
-        return cls.of(phase.value())
+        return cls(phase.order, phase.exponent)
 
     @property
-    def order(self) -> int:
-        return self.value.n
+    def is_zero(self) -> bool:
+        return self.exponent is None
 
     def phase_exponent(self) -> int | None:
-        """Exponent e when the value is the pure root zeta**e, else None."""
-        return self.value.as_root_of_unity()
+        """Exponent e of the value zeta_order**e, or None for exact zero."""
+        return self.exponent
+
+    @property
+    def value(self) -> CycNum:
+        """The exact element of Q(zeta_order)."""
+        if self.exponent is None:
+            return CycNum.zero(self.order)
+        return root_power(self.order, self.exponent)
+
+    @property
+    def numeric(self) -> complex:
+        """Double-precision embedding of value."""
+        return self.value.embed()
 
 
 def quadratic_form(fl: FramedLink, role: str | None = None) -> int:

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import cmath
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import acsl
 from acsl import FramedLink, SurgeryPresentation, blow_up, handle_slide, s3_expectation
-from acsl.cli import link_from_object, link_to_json, load_link_json, run
+from acsl.cli import invariant_to_json, link_from_object, link_to_json, load_link_json, run
 
 HOPF = {"linking": [[0, 1], [1, 0]], "charges": [1, 1]}
 MERIDIAN = {
@@ -164,6 +170,22 @@ def test_check_all_suites_small(capsys):
         assert code == 0 and out["passed"] is True
 
 
+def test_oracle_suite_counts_skipped_trials(capsys):
+    code, out, _ = run_json(
+        capsys,
+        ["check", "--suite", "oracle", "--trials", "20", "--max-terms", "1", "--seed", "0"],
+    )
+    assert code == 0
+    assert out["skipped"] > 0
+
+
+def test_unknown_suite_is_input_error(capsys):
+    code, out, err = run_json(capsys, ["check", "--suite", "nope", "--trials", "5"])
+    assert code == 2 and out is None
+    assert err["error"] == "InputError"
+    assert err["message"].startswith("suite:")
+
+
 def test_cli_output_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, "mer.json", {**MERIDIAN, "charges": [2, 0]})
     outputs = set()
@@ -268,3 +290,47 @@ def test_connected_twelve_component_surgery_answers_fast(tmp_path, capsys):
     assert code == 0
     assert out["phase_exponent"] == s3_expectation(hopf, 5).phase_exponent()
 
+
+def test_s3_serialises_with_one_root_power(monkeypatch):
+    import acsl.invariants as invariants
+
+    calls = []
+
+    def counted(n, e):
+        calls.append((n, e))
+        return acsl.root_power(n, e)
+
+    monkeypatch.setattr(invariants, "root_power", counted)
+    hopf = FramedLink.make(HOPF["linking"], charges=HOPF["charges"])
+    out = invariant_to_json(s3_expectation(hopf, 1000))
+    assert len(calls) <= 1
+    assert out["phase_exponent"] == 3998
+    assert abs(complex(*out["numeric"]) - cmath.exp(2j * cmath.pi * 3998 / 4000)) < 1e-9
+
+
+def _modules_loaded(argv):
+    """The acsl modules a fresh interpreter holds after running one job."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import acsl.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = acsl.cli.run(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('acsl'))]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(acsl.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, modules = json.loads(done.stdout)
+    assert code == 0
+    return set(modules)
+
+
+def test_one_shot_commands_load_only_what_they_use(tmp_path):
+    path = write(tmp_path, "hopf.json", HOPF)
+    for command in ("s3", "satellite"):
+        loaded = _modules_loaded([command, "--input", path, "--k", "50"])
+        assert loaded.isdisjoint({"acsl.surgery", "acsl.manifolds", "acsl.checks"}), command
+    path = write(tmp_path, "h.json", {"genus": 0, "N": [4], "q_self": 3})
+    assert "acsl.checks" not in _modules_loaded(["s1xs2", "--input", path, "--k", "2"])

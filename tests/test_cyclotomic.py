@@ -14,7 +14,6 @@ from acsl import (
     OrderMismatch,
     ZeroInverse,
     cyclotomic_polynomial,
-    embed_numeric,
     root_power,
     totient,
 )
@@ -51,6 +50,25 @@ def test_cyclotomic_polynomial_matches_numeric_product(n):
     assert len(oracle) == exact.degree + 1
     for a, b in zip(exact.coeffs, oracle):
         assert abs(a - b) < 1e-8
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_binomial():
+    # x**n - 1 is the product of Phi_d over the divisors d of n.
+    for n in range(1, 301):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _poly_mul(product, list(cyclotomic_polynomial(d).coeffs))
+        assert product == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_root_power_examples():
@@ -121,8 +139,8 @@ def test_embedding_is_ring_homomorphism():
             a, b = random_cyc(rng, n), random_cyc(rng, n)
             assert abs((a + b).embed() - (a.embed() + b.embed())) < 1e-9
             assert abs((a * b).embed() - a.embed() * b.embed()) < 1e-9
-    assert embed_numeric(CycNum.zero(4)) == 0
-    assert abs(embed_numeric(root_power(4, 1)) - 1j) < 1e-15
+    assert CycNum.zero(4).embed() == 0
+    assert abs(root_power(4, 1).embed() - 1j) < 1e-15
 
 
 def test_conjugation():
@@ -135,24 +153,8 @@ def test_conjugation():
             assert a.conjugate().conjugate() == a
 
 
-def test_as_root_of_unity():
-    assert root_power(12, 5).as_root_of_unity() == 5
-    assert CycNum.integer(8, 2).as_root_of_unity() is None
-    assert CycNum.zero(8).as_root_of_unity() is None
-
-
 def test_powers():
     z = root_power(20, 3)
     assert z**0 == CycNum.one(20)
     assert z**7 == root_power(20, 21)
     assert z**-3 == root_power(20, -9)
-
-
-def test_zero_is_no_root_of_unity_without_a_scan(monkeypatch):
-    import acsl.cyclotomic as cyclotomic
-
-    def scanned(n, e):
-        raise AssertionError("zero element scanned the roots")
-
-    monkeypatch.setattr(cyclotomic, "root_power", scanned)
-    assert CycNum.zero(400).as_root_of_unity() is None

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import cmath
 import random
 
 import pytest
 
 from acsl import (
     CouplingLevel,
+    CycNum,
     FramedLink,
+    Invariant,
+    PhaseExponent,
     SurgeryComponentError,
     quadratic_form,
     reduce_colours,
@@ -224,3 +228,32 @@ def test_brute_force_agreement():
         fl = random_link(rng)
         k = rng.choice([1, 2, 3, -2])
         assert s3_expectation(fl, k).value == expected_phase(fl, k)
+
+
+def test_phase_exponent_reads_the_field():
+    root = Invariant.from_phase(PhaseExponent(17, 12))
+    assert root.phase_exponent() == 5 and not root.is_zero
+    assert root.value == root_power(12, 5)
+    assert abs(root.numeric - cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
+    zero = Invariant.zero(8)
+    assert zero.phase_exponent() is None and zero.is_zero
+    assert zero.value == CycNum.zero(8)
+    assert zero.numeric == 0
+
+
+def test_invariant_equality_is_order_and_exponent():
+    assert Invariant(12, 5) == Invariant(12, 17) == Invariant.from_phase(PhaseExponent(-7, 12))
+    assert Invariant(12, 5) != Invariant(24, 10)
+    assert Invariant(12, 0) != Invariant.zero(12)
+    assert Invariant.zero(12) == Invariant.zero(12) != Invariant.zero(8)
+
+
+def test_zero_is_no_root_of_unity_without_a_scan(monkeypatch):
+    import acsl.invariants as invariants
+
+    def scanned(n, e):
+        raise AssertionError("the phase was recovered from coordinates")
+
+    monkeypatch.setattr(invariants, "root_power", scanned)
+    assert Invariant.zero(400).phase_exponent() is None
+    assert s3_expectation(HOPF, 1000).phase_exponent() == 3998
