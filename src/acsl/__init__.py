@@ -44,7 +44,6 @@ _EXPORTS = {
     "invariants": (
         "CouplingLevel",
         "Invariant",
-        "PhaseExponent",
         "SurgeryComponentError",
         "quadratic_form",
         "reduce_colours",

@@ -3,7 +3,8 @@
 Reads link or homology data from JSON, dispatches to the evaluators,
 and prints one JSON result object on standard output.  Exit codes:
 0 success, 1 failed property suite, 2 input error, 3 undefined ratio
-(vanishing normalization).  Errors are reported as JSON on stderr.
+(vanishing normalization).  Errors, argparse's included, are reported
+as JSON on stderr; so are warnings when run as the acsl process.
 """
 
 from __future__ import annotations
@@ -189,8 +190,15 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acsl",
         description="Exact Abelian Chern-Simons link invariants.",
     )
@@ -223,8 +231,8 @@ def run(argv) -> int:
     Subcommands import what they use beyond the S^3 path through the
     package's public names, which is where perfbench/tracing.py wraps them.
     """
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "check":
             from .checks import SUITES
 
@@ -232,6 +240,8 @@ def run(argv) -> int:
                 raise InputError(f"suite: expected one of {', '.join(SUITES)}, got {args.suite!r}")
             if args.trials < 1:
                 raise InputError(f"trials: expected a positive integer, got {args.trials}")
+            if args.max_terms is not None and args.max_terms < 1:
+                raise InputError(f"max_terms: expected a positive integer, got {args.max_terms}")
             if args.k == 0:
                 raise InputError("k: coupling must be nonzero")
             kwargs = {"trials": args.trials, "seed": args.seed, "k": args.k}
@@ -289,7 +299,15 @@ def run(argv) -> int:
         return _fail(exc, 2)
 
 
+def _warning_to_json(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(
+        json.dumps({"warning": category.__name__, "message": str(message)}) + "\n"
+    )
+
+
 def main() -> None:
+    """The acsl process: warnings go to stderr as JSON lines, like errors."""
+    warnings.showwarning = _warning_to_json
     sys.exit(run(sys.argv[1:]))
 
 

@@ -49,24 +49,6 @@ class CouplingLevel:
 
 
 @dataclass(frozen=True)
-class PhaseExponent:
-    """Residue e mod order, standing for the root of unity zeta_order**e."""
-
-    exponent: int
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        object.__setattr__(self, "exponent", self.exponent % self.order)
-
-    @classmethod
-    def from_quadratic(cls, level: CouplingLevel, form_value: int) -> PhaseExponent:
-        """Exponent -sign(k) * form_value at root order 4|k|."""
-        return cls(-level.sign * form_value, level.root_order)
-
-
-@dataclass(frozen=True)
 class Invariant:
     """Result of an expectation value: exact zero or the root zeta_order**exponent.
 
@@ -87,8 +69,9 @@ class Invariant:
         return cls(order, None)
 
     @classmethod
-    def from_phase(cls, phase: PhaseExponent) -> Invariant:
-        return cls(phase.order, phase.exponent)
+    def from_quadratic(cls, level: CouplingLevel, form_value: int) -> Invariant:
+        """The phase zeta_{4|k|}**(-sign(k) * form_value)."""
+        return cls(level.root_order, -level.sign * form_value)
 
     @property
     def is_zero(self) -> bool:
@@ -137,8 +120,7 @@ def s3_expectation(fl: FramedLink, k) -> Invariant:
         raise SurgeryComponentError(
             "link has surgery components; use surgery_expectation"
         )
-    phase = PhaseExponent.from_quadratic(level, quadratic_form(fl))
-    return Invariant.from_phase(phase)
+    return Invariant.from_quadratic(level, quadratic_form(fl))
 
 
 def reduce_colours(fl: FramedLink, k) -> FramedLink:
@@ -173,40 +155,12 @@ def satellite_expand(fl: FramedLink, j: int, sign: int) -> FramedLink:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if fl.roles[j] != OBSERVED:
         raise SurgeryComponentError("cannot expand a surgery component")
-    f = fl.linking[j][j]
-    q = fl.charges[j]
-    n = fl.n
-    # New component order: j stays in place, its twin sits right after.
-    old_of_new = list(range(j + 1)) + [j] + list(range(j + 1, n))
-    twin = j + 1
-    matrix = [
-        [fl.linking[old_of_new[r]][old_of_new[c]] for c in range(n + 1)]
-        for r in range(n + 1)
-    ]
-    matrix[j][twin] = matrix[twin][j] = f
-    charges = [fl.charges[i] for i in old_of_new]
-    charges[j] = q + sign
-    charges[twin] = -sign
-    roles = [fl.roles[i] for i in old_of_new]
-    names = [fl.names[i] for i in old_of_new]
-    names[j] = f"{fl.names[j]}.1"
-    names[twin] = f"{fl.names[j]}.2"
-    return FramedLink(
-        tuple(tuple(row) for row in matrix),
-        tuple(charges),
-        tuple(roles),
-        tuple(names),
-    )
-
-
-def _drop_components(fl: FramedLink, dropped: set[int]) -> FramedLink:
-    keep = [i for i in range(fl.n) if i not in dropped]
-    return FramedLink(
-        tuple(tuple(fl.linking[r][c] for c in keep) for r in keep),
-        tuple(fl.charges[i] for i in keep),
-        tuple(fl.roles[i] for i in keep),
-        tuple(fl.names[i] for i in keep),
-    )
+    # j keeps its place and its push-off twin follows it.
+    out = fl.select([*range(j + 1), *range(j, fl.n)])
+    charges, names = list(out.charges), list(out.names)
+    charges[j : j + 2] = [fl.charges[j] + sign, -sign]
+    names[j : j + 2] = [f"{fl.names[j]}.1", f"{fl.names[j]}.2"]
+    return FramedLink(out.linking, tuple(charges), out.roles, tuple(names))
 
 
 def simplicial_satellite(fl: FramedLink) -> FramedLink:
@@ -216,10 +170,8 @@ def simplicial_satellite(fl: FramedLink) -> FramedLink:
     peels one unit of charge off a component, so the loop terminates.
     Surgery components pass through untouched.
     """
-    zero = {
-        i for i in range(fl.n) if fl.roles[i] == OBSERVED and fl.charges[i] == 0
-    }
-    out = _drop_components(fl, zero) if zero else fl
+    keep = [i for i in range(fl.n) if fl.roles[i] != OBSERVED or fl.charges[i] != 0]
+    out = fl.select(keep) if len(keep) < fl.n else fl
     while True:
         for j in range(out.n):
             if out.roles[j] == OBSERVED and abs(out.charges[j]) > 1:

@@ -116,6 +116,36 @@ class FramedLink:
     def framing(self, j: int) -> int:
         return self.linking[j][j]
 
+    def select(self, order) -> FramedLink:
+        """The components at the given indices, in that order, with their
+        linking.  An index may repeat: the copy is a parallel push-off,
+        linked to the original by its framing."""
+        order = tuple(order)
+        return FramedLink(
+            tuple([tuple([self.linking[r][c] for c in order]) for r in order]),
+            tuple([self.charges[i] for i in order]),
+            tuple([self.roles[i] for i in order]),
+            tuple([self.names[i] for i in order]),
+        )
+
+    def add_surgery(self, columns, framings, names) -> FramedLink:
+        """Append uncharged surgery components with no mutual linking.
+
+        columns[c][i] is the linking of new component c with component
+        i, framings[c] its framing and names[c] its name.
+        """
+        columns = [tuple(col) for col in columns]
+        extra = len(columns)
+        rows = [row + tuple(col[i] for col in columns) for i, row in enumerate(self.linking)]
+        for c, (col, f) in enumerate(zip(columns, framings, strict=True)):
+            rows.append(col + tuple(f if d == c else 0 for d in range(extra)))
+        return FramedLink(
+            tuple(rows),
+            self.charges + (0,) * extra,
+            self.roles + (SURGERY,) * extra,
+            self.names + tuple(names),
+        )
+
 
 def validate(fl: FramedLink) -> FramedLink:
     """Check all FramedLink invariants; identity on success."""

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .invariants import CouplingLevel, Invariant, PhaseExponent
-from .linkdiagram import SURGERY, FramedLink
+from .invariants import CouplingLevel, Invariant
+from .linkdiagram import FramedLink, validate
 from .surgery import SurgeryPresentation
 
 
@@ -52,7 +52,7 @@ def s1xsigma_expectation(h: HomologyData, k) -> Invariant:
     level = CouplingLevel.of(k)
     if any(pairing % level.colour_modulus for pairing in h.pairings):
         return Invariant.zero(level.root_order)
-    return Invariant.from_phase(PhaseExponent.from_quadratic(level, h.self_form))
+    return Invariant.from_quadratic(level, h.self_form)
 
 
 def s1xs2_expectation(h: HomologyData, k) -> Invariant:
@@ -63,20 +63,10 @@ def s1xs2_expectation(h: HomologyData, k) -> Invariant:
 
 
 def _extended(observed: FramedLink, columns, framings) -> FramedLink:
-    """Append 0-charge surgery components with the given linkings."""
-    n = observed.n
-    extra = len(framings)
-    matrix = [list(row) + [columns[c][i] for c in range(extra)] for i, row in enumerate(observed.linking)]
-    for c in range(extra):
-        row = [columns[c][i] for i in range(n)] + [0] * extra
-        row[n + c] = framings[c]
-        matrix.append(row)
-    return FramedLink.make(
-        matrix,
-        charges=observed.charges + (0,) * extra,
-        roles=observed.roles + (SURGERY,) * extra,
-        names=observed.names + tuple(f"S{c + 1}" for c in range(extra)),
-    )
+    """Append 0-charge surgery components S1, S2, ... with the given
+    linkings, validated since the caller supplies them."""
+    names = [f"S{c + 1}" for c in range(len(framings))]
+    return validate(observed.add_surgery(columns, framings, names))
 
 
 def s1xs2_presentation(observed: FramedLink, core_linkings, k) -> SurgeryPresentation:

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum, root_power
-from .invariants import CouplingLevel, Invariant, PhaseExponent, quadratic_form
+from .invariants import CouplingLevel, Invariant, quadratic_form
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
 
@@ -288,7 +288,7 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     n = level.root_order
     surgery = fl.surgery()
     observed = fl.observed()
-    a = [[fl.linking[i][j] for j in surgery] for i in surgery]
+    a = fl.select(surgery).linking
     b = [sum(fl.linking[i][j] * fl.charges[j] for j in observed) for i in surgery]
     u, d, v = _smith_mod(a, m)
     steps = [m // math.gcd(di, m) for di in d]
@@ -308,11 +308,7 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
         z = target // g * pow(di // g, -1, step) % step
         x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
     phase = quadratic_form(fl, OBSERVED) - _form(a, x)
-    return Invariant.from_phase(PhaseExponent.from_quadratic(level, phase))
-
-
-def _with_link(p: SurgeryPresentation, link: FramedLink) -> SurgeryPresentation:
-    return SurgeryPresentation(link, p.level)
+    return Invariant.from_quadratic(level, phase)
 
 
 def blow_up(p: SurgeryPresentation, sign: int) -> SurgeryPresentation:
@@ -320,22 +316,11 @@ def blow_up(p: SurgeryPresentation, sign: int) -> SurgeryPresentation:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     fl = p.link
-    n = fl.n
-    matrix = [list(row) + [0] for row in fl.linking]
-    matrix.append([0] * n + [sign])
     names = set(fl.names)
-    serial = n + 1
+    serial = fl.n + 1
     while f"E{serial}" in names:
         serial += 1
-    return _with_link(
-        p,
-        FramedLink(
-            tuple(tuple(row) for row in matrix),
-            fl.charges + (0,),
-            fl.roles + (SURGERY,),
-            fl.names + (f"E{serial}",),
-        ),
-    )
+    return SurgeryPresentation(fl.add_surgery([(0,) * fl.n], [sign], [f"E{serial}"]), p.level)
 
 
 def blow_down(p: SurgeryPresentation, j: int) -> SurgeryPresentation:
@@ -351,16 +336,7 @@ def blow_down(p: SurgeryPresentation, j: int) -> SurgeryPresentation:
         )
     if any(fl.linking[j][i] != 0 for i in range(fl.n) if i != j):
         raise NotIsolated(f"component {fl.names[j]} links other components")
-    keep = [i for i in range(fl.n) if i != j]
-    return _with_link(
-        p,
-        FramedLink(
-            tuple(tuple(fl.linking[r][c] for c in keep) for r in keep),
-            tuple(fl.charges[i] for i in keep),
-            tuple(fl.roles[i] for i in keep),
-            tuple(fl.names[i] for i in keep),
-        ),
-    )
+    return SurgeryPresentation(fl.select(i for i in range(fl.n) if i != j), p.level)
 
 
 def handle_slide(p: SurgeryPresentation, i: int, j: int, sign: int) -> SurgeryPresentation:
@@ -385,12 +361,8 @@ def handle_slide(p: SurgeryPresentation, i: int, j: int, sign: int) -> SurgeryPr
             matrix[i][mcol] += sign * fl.linking[j][mcol]
             matrix[mcol][i] = matrix[i][mcol]
     matrix[i][i] = new_ii
-    return _with_link(
-        p,
-        FramedLink(
-            tuple(tuple(row) for row in matrix), fl.charges, fl.roles, fl.names
-        ),
-    )
+    link = FramedLink(tuple(tuple(row) for row in matrix), fl.charges, fl.roles, fl.names)
+    return SurgeryPresentation(link, p.level)
 
 
 def oracle_sums(p: SurgeryPresentation, max_terms: int = 10**6) -> tuple[complex, complex]:

@@ -186,6 +186,31 @@ def test_unknown_suite_is_input_error(capsys):
     assert err["message"].startswith("suite:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["s3", "--input", "x.json", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+        (["check", "--trials", "3"], "the following arguments are required: --suite"),
+        ([], "the following arguments are required: command"),
+        (["knot"], "argument command: invalid choice: 'knot'"),
+        (["s3", "--input", "x.json", "--k", "1", "--colour", "2"], "unrecognized arguments: --colour 2"),
+    ],
+)
+def test_argparse_errors_are_input_errors(capsys, argv, message):
+    code, out, err = run_json(capsys, argv)
+    assert code == 2 and out is None
+    assert err["error"] == "InputError"
+    assert err["message"].startswith(message)
+
+
+def test_max_terms_below_one_is_input_error(capsys):
+    code, out, err = run_json(
+        capsys, ["check", "--suite", "oracle", "--trials", "2", "--max-terms", "0"]
+    )
+    assert code == 2 and out is None
+    assert err["message"].startswith("max_terms:")
+
+
 def test_cli_output_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, "mer.json", {**MERIDIAN, "charges": [2, 0]})
     outputs = set()
@@ -271,6 +296,22 @@ def test_charged_surgery_component_warns_once(tmp_path, capsys):
         code, _, _ = run_json(capsys, ["surgery", "--input", path, "--k", "1"])
     assert code == 0
     assert len(caught) == 1
+
+
+def test_acsl_process_writes_each_warning_as_one_json_line(tmp_path):
+    path = write(tmp_path, "charged.json", {**MERIDIAN, "charges": [1, 2]})
+    env = {**os.environ, "PYTHONPATH": str(Path(acsl.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "acsl.cli", "surgery", "--input", path, "--k", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "warning": "UserWarning",
+        "message": "surgery component C2 carries charge 2; evaluators ignore it",
+    }
 
 
 def test_connected_twelve_component_surgery_answers_fast(tmp_path, capsys):

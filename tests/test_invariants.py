@@ -12,7 +12,6 @@ from acsl import (
     CycNum,
     FramedLink,
     Invariant,
-    PhaseExponent,
     SurgeryComponentError,
     quadratic_form,
     reduce_colours,
@@ -231,7 +230,7 @@ def test_brute_force_agreement():
 
 
 def test_phase_exponent_reads_the_field():
-    root = Invariant.from_phase(PhaseExponent(17, 12))
+    root = Invariant(12, 17)
     assert root.phase_exponent() == 5 and not root.is_zero
     assert root.value == root_power(12, 5)
     assert abs(root.numeric - cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
@@ -242,10 +241,15 @@ def test_phase_exponent_reads_the_field():
 
 
 def test_invariant_equality_is_order_and_exponent():
-    assert Invariant(12, 5) == Invariant(12, 17) == Invariant.from_phase(PhaseExponent(-7, 12))
+    assert Invariant(12, 5) == Invariant(12, 17) == Invariant(12, -7)
     assert Invariant(12, 5) != Invariant(24, 10)
     assert Invariant(12, 0) != Invariant.zero(12)
     assert Invariant.zero(12) == Invariant.zero(12) != Invariant.zero(8)
+
+
+def test_from_quadratic_is_the_phase_of_the_form():
+    assert Invariant.from_quadratic(CouplingLevel(3), 7) == Invariant(12, -7)
+    assert Invariant.from_quadratic(CouplingLevel(-3), 7) == Invariant(12, 7)
 
 
 def test_zero_is_no_root_of_unity_without_a_scan(monkeypatch):

@@ -227,3 +227,57 @@ def test_matrix_always_symmetric_integer():
         d = insert_clasp(d, over, under, kind=rng.choice(list(CLASP_SIGNS)))
         fl = linking_matrix(d, "blackboard")
         assert fl.linking == tuple(zip(*fl.linking))
+
+
+# Three components A, B, C with framings 2, -1, 5 and distinct linkings.
+ABC = FramedLink.make(
+    [[2, 3, -4], [3, -1, 6], [-4, 6, 5]],
+    charges=[1, 0, 3],
+    roles=["observed", "surgery", "observed"],
+    names=["A", "B", "C"],
+)
+
+
+def test_select_permutes_components():
+    out = ABC.select([2, 0, 1])
+    assert out.linking == ((5, -4, 6), (-4, 2, 3), (6, 3, -1))
+    assert out.charges == (3, 1, 0)
+    assert out.roles == ("observed", "observed", "surgery")
+    assert out.names == ("C", "A", "B")
+    assert validate(out) is out
+
+
+def test_select_repeated_index_is_a_push_off_linked_by_the_framing():
+    out = ABC.select([0, 0, 1])
+    assert out.linking == ((2, 2, 3), (2, 2, 3), (3, 3, -1))
+    assert out.charges == (1, 1, 0)
+    assert out.names == ("A", "A", "B")
+
+
+def test_select_drops_the_indices_left_out():
+    out = ABC.select(i for i in range(3) if i != 1)
+    assert out.linking == ((2, -4), (-4, 5))
+    assert out.charges == (1, 3)
+    assert out.roles == ("observed", "observed")
+    assert out.names == ("A", "C")
+    assert ABC.select(range(3)) == ABC
+
+
+def test_add_surgery_appends_uncharged_components():
+    out = ABC.add_surgery([(1, 0, 2), (0, -3, 0)], [0, 4], ["S1", "S2"])
+    assert out.linking == (
+        (2, 3, -4, 1, 0),
+        (3, -1, 6, 0, -3),
+        (-4, 6, 5, 2, 0),
+        (1, 0, 2, 0, 0),
+        (0, -3, 0, 0, 4),
+    )
+    assert out.charges == (1, 0, 3, 0, 0)
+    assert out.roles == ("observed", "surgery", "observed", "surgery", "surgery")
+    assert out.names == ("A", "B", "C", "S1", "S2")
+    assert out.select(range(3)) == ABC
+
+
+def test_add_surgery_needs_one_framing_per_column():
+    with pytest.raises(ValueError):
+        ABC.add_surgery([(0, 0, 0)], [1, 1], ["S1"])
