@@ -267,7 +267,7 @@ def suite_homology(
                 failures.append(f"{where}: undefined, float denominator {abs(denominator):.2e}")
             continue
         zero += got.is_zero
-        if exact_den.is_zero or got.value != exact_num / exact_den:
+        if exact_den.is_zero or got.value * exact_den != exact_num:
             failures.append(f"{where}: differs from the exact ratio")
         elif abs(denominator) < 1e-6 or abs(got.numeric - numerator / denominator) >= tolerance:
             failures.append(f"{where}: differs from the float ratio")

@@ -240,13 +240,15 @@ def run(argv) -> int:
                 raise InputError(f"suite: expected one of {', '.join(SUITES)}, got {args.suite!r}")
             if args.trials < 1:
                 raise InputError(f"trials: expected a positive integer, got {args.trials}")
-            if args.max_terms is not None and args.max_terms < 1:
-                raise InputError(f"max_terms: expected a positive integer, got {args.max_terms}")
+            kwargs = {"trials": args.trials, "seed": args.seed, "k": args.k}
+            if args.max_terms is not None:
+                if args.max_terms < 1:
+                    raise InputError(f"max_terms: expected a positive integer, got {args.max_terms}")
+                if args.suite not in ("oracle", "homology"):
+                    raise InputError(f"max_terms: the {args.suite} suite enumerates nothing")
+                kwargs["max_terms"] = args.max_terms
             if args.k == 0:
                 raise InputError("k: coupling must be nonzero")
-            kwargs = {"trials": args.trials, "seed": args.seed, "k": args.k}
-            if args.max_terms is not None and args.suite in ("oracle", "homology"):
-                kwargs["max_terms"] = args.max_terms
             report = SUITES[args.suite](**kwargs)
             _emit({"command": "check", **report})
             return 0 if report["passed"] else 1

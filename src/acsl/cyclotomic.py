@@ -1,11 +1,16 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_n).
 
-A field element is stored as a rational coordinate vector of length
-phi(n) with respect to the power basis 1, zeta, ..., zeta^(phi(n)-1),
-reduced modulo the n-th cyclotomic polynomial.  Reduced coordinates are
-unique, so equality of elements is plain structural equality and the
-invariant comparisons downstream are exact.  The float embedding exists
-only for reporting and for test oracles.
+A field element is stored as a vector of phi(n) integer coordinates
+over one positive common denominator, with respect to the power basis
+1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th cyclotomic
+polynomial and kept in lowest terms.  That form is unique, so equality
+of elements is plain structural equality and the invariant comparisons
+downstream are exact.  Every value the library produces lies in
+Z[zeta_n] and has denominator 1; rationals come in through from_coeffs
+and go out through the coeffs property.  One convolution (CycNum.__mul__)
+and one reduction (_reduce) serve every operation, the inverse included:
+it is the product of the other Galois conjugates over the norm.  The
+float embedding exists only for reporting and for test oracles.
 """
 
 from __future__ import annotations
@@ -109,36 +114,54 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def _reduce(n: int, raw: list) -> tuple[Fraction, ...]:
-    """Reduce coordinates of any degree modulo Phi_n, padded to phi(n).
+def _reduce(n: int, raw: list[int]) -> list[int]:
+    """Reduce integer coordinates of any degree modulo Phi_n, padded to phi(n).
 
     Only the nonzero lower terms of the monic Phi_n are subtracted, so
-    sparse moduli such as Phi_4000 = Phi_10(x**400) reduce quickly, and
-    integer coordinates are reduced in integers.
+    sparse moduli such as Phi_4000 = Phi_10(x**400) reduce quickly.
     """
     phi = cyclotomic_polynomial(n).coeffs
     deg = len(phi) - 1
     terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
-    work = list(raw) + [0] * (deg - len(raw))
+    work = raw + [0] * (deg - len(raw))
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
             for j, pj in terms:
                 work[i - deg + j] -= c * pj
-    return tuple(Fraction(c) for c in work[:deg])
+    del work[deg:]
+    return work
+
+
+def _lowest(n: int, num: list[int], den: int) -> CycNum:
+    """The element with coordinates num[i] / den, in lowest terms."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return CycNum(n, tuple(num), den)
 
 
 @dataclass(frozen=True)
 class CycNum:
-    """Element of Q(zeta_n) in reduced coordinates of length phi(n)."""
+    """Element of Q(zeta_n): reduced integer coordinates num over den.
+
+    The value is sum(num[i] * zeta**i) / den with len(num) == phi(n),
+    den > 0 and gcd(den, *num) == 1.
+    """
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     @classmethod
     def from_coeffs(cls, n: int, raw) -> CycNum:
-        """Build from coordinates of any degree (reduced modulo Phi_n)."""
-        return cls(n, _reduce(n, [c if isinstance(c, int) else Fraction(c) for c in raw]))
+        """Build from rational coordinates of any degree (reduced modulo Phi_n)."""
+        rational = [c if isinstance(c, int) else Fraction(c) for c in raw]
+        den = math.lcm(*[c.denominator for c in rational])
+        return _lowest(n, _reduce(n, [c.numerator * (den // c.denominator) for c in rational]), den)
 
     @classmethod
     def zero(cls, n: int) -> CycNum:
@@ -153,8 +176,13 @@ class CycNum:
         return cls.from_coeffs(n, [value])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates num[i] / den."""
+        return tuple([Fraction(c, self.den) for c in self.num])
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def _check(self, other: CycNum) -> None:
         if self.n != other.n:
@@ -162,29 +190,27 @@ class CycNum:
 
     def __add__(self, other: CycNum) -> CycNum:
         self._check(other)
-        return CycNum(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _lowest(self.n, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __sub__(self, other: CycNum) -> CycNum:
-        self._check(other)
-        return CycNum(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.n, tuple(-a for a in self.coeffs))
+        return CycNum(self.n, tuple([-c for c in self.num]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, CycNum):
             self._check(other)
-            prod = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
+            prod = [0] * (len(self.num) + len(other.num) - 1)
+            for i, a in enumerate(self.num):
+                if a:
+                    for j, b in enumerate(other.num):
                         prod[i + j] += a * b
-            return CycNum(self.n, _reduce(self.n, prod))
+            return _lowest(self.n, _reduce(self.n, prod), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return CycNum(self.n, tuple(a * f for a in self.coeffs))
+            return _lowest(self.n, [c * f.numerator for c in self.num], self.den * f.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -205,94 +231,39 @@ class CycNum:
         return out
 
     def inverse(self) -> CycNum:
-        """Exact multiplicative inverse via the extended Euclidean
-        algorithm on the representative polynomial and Phi_n."""
+        """Exact multiplicative inverse: the product of the other Galois
+        conjugates divided by the norm, which is rational."""
         if self.is_zero:
             raise ZeroInverse(f"zero element of Q(zeta_{self.n}) has no inverse")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n).coeffs]
-        g, u = _ext_gcd_mod(list(self.coeffs), phi)
-        inv = [c / g for c in u]
-        return CycNum(self.n, _reduce(self.n, inv))
+        others = CycNum.one(self.n)
+        for j in range(2, self.n):
+            if math.gcd(j, self.n) == 1:
+                others = others * self._galois(j)
+        norm = self * others
+        return _lowest(self.n, [c * norm.den for c in others.num], others.den * norm.num[0])
 
     def conjugate(self) -> CycNum:
         """Complex conjugation, the field map zeta -> zeta**-1."""
-        raw = [Fraction(0)] * self.n
-        for i, c in enumerate(self.coeffs):
-            raw[(self.n - i) % self.n] += c
-        return CycNum(self.n, _reduce(self.n, raw))
+        return self._galois(-1)
+
+    def _galois(self, j: int) -> CycNum:
+        """The field automorphism zeta -> zeta**j, for j prime to n."""
+        raw = [0] * self.n
+        for i, c in enumerate(self.num):
+            raw[i * j % self.n] += c
+        return _lowest(self.n, _reduce(self.n, raw), self.den)
 
     def embed(self) -> complex:
         """Numeric value at zeta_n = exp(2*pi*i/n), double precision."""
         z = cmath.exp(2j * cmath.pi / self.n)
         out: complex = 0
-        for c in reversed(self.coeffs):
-            out = out * z + float(c)
+        for c in reversed(self.num):
+            out = out * z + c / self.den
         return out
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _ext_gcd_mod(a: list[Fraction], m: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """Return (g, u) with u*a == g (a nonzero constant) modulo m.
-
-    m is irreducible here, so the gcd of a and m is a unit.
-    """
-    r0, r1 = _poly_trim(list(m)), _poly_trim(list(a))
-    u0: list[Fraction] = []
-    u1: list[Fraction] = [Fraction(1)]
-    while len(r1) > 1:
-        quot, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(quot, u1))
-    if not r1:
-        raise ArithmeticError("inputs share a factor; modulus not irreducible?")
-    return r1[0], u1
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] / lead
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, d in enumerate(den):
-            num[i - deg_d + j] -= c * d
-    return quot, _poly_trim(num[:deg_d])
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
-
-
-@lru_cache(maxsize=None)
 def root_power(n: int, e: int) -> CycNum:
     """Canonical representative of zeta_n**(e mod n)."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    e %= n
-    return CycNum.from_coeffs(n, [0] * e + [1])
+    return CycNum(n, tuple(_reduce(n, [0] * (e % n) + [1])), 1)

@@ -113,9 +113,6 @@ class FramedLink:
     def surgery(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r == SURGERY)
 
-    def framing(self, j: int) -> int:
-        return self.linking[j][j]
-
     def select(self, order) -> FramedLink:
         """The components at the given indices, in that order, with their
         linking.  An index may repeat: the copy is a parallel push-off,

@@ -211,6 +211,16 @@ def test_max_terms_below_one_is_input_error(capsys):
     assert err["message"].startswith("max_terms:")
 
 
+@pytest.mark.parametrize("suite", ["periodicity", "satellite", "kirby", "manifolds"])
+def test_max_terms_is_input_error_where_nothing_is_enumerated(capsys, suite):
+    code, out, err = run_json(
+        capsys, ["check", "--suite", suite, "--trials", "2", "--max-terms", "5", "--k", "1"]
+    )
+    assert code == 2 and out is None
+    assert err["error"] == "InputError"
+    assert err["message"].startswith("max_terms:")
+
+
 def test_cli_output_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, "mer.json", {**MERIDIAN, "charges": [2, 0]})
     outputs = set()
