@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -29,6 +30,11 @@ from .linkdiagram import (
     linking_matrix,
     parse_pd,
 )
+
+
+# Largest |k| the evaluating commands accept.  Output carries phi(4|k|)
+# coordinates: s3 on the Hopf link writes 1.28 MB at this limit.
+K_LIMIT = 100_000
 
 
 class InputError(ValueError):
@@ -144,17 +150,23 @@ def _coupling(args, obj) -> CouplingLevel:
     k = args.k if args.k is not None else obj.get("k") if isinstance(obj, dict) else None
     if k is None:
         raise InputError("coupling missing: pass --k or a top-level 'k'")
+    k = _expect_int(k, "k")
+    if abs(k) > K_LIMIT:
+        raise InputError(f"k: |k| = {abs(k)} exceeds the limit of {K_LIMIT}")
     try:
-        return CouplingLevel.of(_expect_int(k, "k"))
+        return CouplingLevel.of(k)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def cyc_to_json(value: CycNum) -> dict:
-    return {
-        "n": value.n,
-        "coeffs": [[c.numerator, c.denominator] for c in value.coeffs],
-    }
+    """Coordinates as [numerator, denominator] pairs in lowest terms."""
+    den = value.den
+    coeffs = []
+    for c in value.num:
+        g = math.gcd(c, den)
+        coeffs.append([c // g, den // g])
+    return {"n": value.n, "coeffs": coeffs}
 
 
 def invariant_to_json(inv: Invariant) -> dict:

@@ -6,20 +6,23 @@ over one positive common denominator, with respect to the power basis
 polynomial and kept in lowest terms.  That form is unique, so equality
 of elements is plain structural equality and the invariant comparisons
 downstream are exact.  Every value the library produces lies in
-Z[zeta_n] and has denominator 1; rationals come in through from_coeffs
-and go out through the coeffs property.  One convolution (CycNum.__mul__)
-and one reduction (_reduce) serve every operation, the inverse included:
-it is the product of the other Galois conjugates over the norm.  The
-float embedding exists only for reporting and for test oracles.
+Z[zeta_n], has denominator 1 and is computed in integers only.
+Fraction is imported only at the rational edges: where rationals come
+in (from_coeffs with non-integer input, scalar multiplication by a
+Fraction) and where they go out (the coeffs property).  One convolution
+(CycNum.__mul__) and one reduction (_reduce) serve every operation, the
+inverse included: it is the product of the other Galois conjugates over
+the norm.  The float embedding exists only for reporting and for test
+oracles.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+from ._record import Record
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -59,19 +62,15 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Record):
     """Dense integer polynomial; coeffs[i] multiplies x**i.
 
     The zero polynomial is the empty tuple; otherwise the leading
     coefficient is nonzero.
     """
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        trimmed = _trim(tuple(self.coeffs))
-        object.__setattr__(self, "coeffs", trimmed)
+    def __init__(self, coeffs) -> None:
+        self.__dict__["coeffs"] = _trim(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -144,21 +143,26 @@ def _lowest(n: int, num: list[int], den: int) -> CycNum:
     return CycNum(n, tuple(num), den)
 
 
-@dataclass(frozen=True)
-class CycNum:
+class CycNum(Record):
     """Element of Q(zeta_n): reduced integer coordinates num over den.
 
     The value is sum(num[i] * zeta**i) / den with len(num) == phi(n),
     den > 0 and gcd(den, *num) == 1.
     """
 
-    n: int
-    num: tuple[int, ...]
-    den: int
+    def __init__(self, n: int, num: tuple[int, ...], den: int) -> None:
+        self.__dict__["n"] = n
+        self.__dict__["num"] = num
+        self.__dict__["den"] = den
 
     @classmethod
     def from_coeffs(cls, n: int, raw) -> CycNum:
         """Build from rational coordinates of any degree (reduced modulo Phi_n)."""
+        raw = list(raw)
+        if all(type(c) is int for c in raw):
+            return CycNum(n, tuple(_reduce(n, raw)), 1)
+        from fractions import Fraction
+
         rational = [c if isinstance(c, int) else Fraction(c) for c in raw]
         den = math.lcm(*[c.denominator for c in rational])
         return _lowest(n, _reduce(n, [c.numerator * (den // c.denominator) for c in rational]), den)
@@ -176,8 +180,10 @@ class CycNum:
         return cls.from_coeffs(n, [value])
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coordinates num[i] / den."""
+    def coeffs(self) -> tuple:
+        """The rational coordinates num[i] / den, as Fractions."""
+        from fractions import Fraction
+
         return tuple([Fraction(c, self.den) for c in self.num])
 
     @property
@@ -208,9 +214,12 @@ class CycNum:
                     for j, b in enumerate(other.num):
                         prod[i + j] += a * b
             return _lowest(self.n, _reduce(self.n, prod), self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return _lowest(self.n, [c * f.numerator for c in self.num], self.den * f.denominator)
+        if isinstance(other, int):
+            return _lowest(self.n, [c * other for c in self.num], self.den)
+        from fractions import Fraction
+
+        if isinstance(other, Fraction):
+            return _lowest(self.n, [c * other.numerator for c in self.num], self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -9,8 +9,7 @@ and preserve that value, which the property tests check exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .cyclotomic import CycNum, root_power
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
@@ -19,17 +18,15 @@ class SurgeryComponentError(ValueError):
     """An operation restricted to observed components met a surgery one."""
 
 
-@dataclass(frozen=True)
-class CouplingLevel:
+class CouplingLevel(Record):
     """Nonzero integer coupling; colours live in Z_2|k|, phases in Z_4|k|."""
 
-    k: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise TypeError(f"coupling must be an integer, got {self.k!r}")
-        if self.k == 0:
+    def __init__(self, k: int) -> None:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"coupling must be an integer, got {k!r}")
+        if k == 0:
             raise ValueError("coupling must be nonzero")
+        self.__dict__["k"] = k
 
     @classmethod
     def of(cls, value) -> CouplingLevel:
@@ -48,8 +45,7 @@ class CouplingLevel:
         return 1 if self.k > 0 else -1
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(Record):
     """Result of an expectation value: exact zero or the root zeta_order**exponent.
 
     Every evaluator knows the exponent, so it is carried as it is, with
@@ -57,12 +53,9 @@ class Invariant:
     cyclotomic coordinates are built only when value is read.
     """
 
-    order: int
-    exponent: int | None
-
-    def __post_init__(self) -> None:
-        if self.exponent is not None:
-            object.__setattr__(self, "exponent", self.exponent % self.order)
+    def __init__(self, order: int, exponent: int | None) -> None:
+        self.__dict__["order"] = order
+        self.__dict__["exponent"] = None if exponent is None else exponent % order
 
     @classmethod
     def zero(cls, order: int) -> Invariant:

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
+
+from ._record import Record
 
 OBSERVED = "observed"
 SURGERY = "surgery"
@@ -56,8 +57,7 @@ class AmbiguousDiagram(DiagramError):
 Crossing = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """Combinatorial oriented link diagram.
 
     crossings: X(a,b,c,d) tuples as described in the module docstring.
@@ -65,29 +65,30 @@ class Diagram:
     listed along the component's orientation.
     """
 
-    crossings: tuple[Crossing, ...]
-    component_edges: tuple[tuple[int, ...], ...]
+    def __init__(self, crossings: tuple[Crossing, ...], component_edges: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__["crossings"] = crossings
+        self.__dict__["component_edges"] = component_edges
 
     @property
     def n_components(self) -> int:
         return len(self.component_edges)
 
 
-@dataclass(frozen=True)
-class FramedLink:
+class FramedLink(Record):
     """Symmetric integer linking matrix with framings on the diagonal.
 
     Off-diagonal entries are pairwise linking numbers; the diagonal
     entry of a component is its self-linking (the linking number with
     its framing push-off).  Surgery components carry Dehn-surgery
     coefficients on the diagonal and their charges are ignored by all
-    evaluators.
+    evaluators.  All four fields are tuples, linking a tuple of rows.
     """
 
-    linking: tuple[tuple[int, ...], ...]
-    charges: tuple[int, ...]
-    roles: tuple[str, ...]
-    names: tuple[str, ...]
+    def __init__(self, linking, charges, roles, names) -> None:
+        self.__dict__["linking"] = linking
+        self.__dict__["charges"] = charges
+        self.__dict__["roles"] = roles
+        self.__dict__["names"] = names
 
     @classmethod
     def make(cls, linking, charges=None, roles=None, names=None) -> FramedLink:
@@ -211,17 +212,25 @@ def parse_pd(text: str) -> Diagram:
     return d
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """Resolved per-crossing data for a valid diagram."""
+class _Analysis(Record):
+    """Resolved per-crossing data for a valid diagram.
 
-    component_of: dict = field(hash=False)
-    signs: tuple[int, ...] = ()
-    # per crossing: ((under_in, under_out), (over_in, over_out))
-    strands: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
+    component_of maps each edge to its component; strands holds, per
+    crossing, ((under_in, under_out), (over_in, over_out)).
+    """
+
+    def __init__(self, component_of: dict[int, int], signs: tuple[int, ...], strands) -> None:
+        self.__dict__["component_of"] = component_of
+        self.__dict__["signs"] = signs
+        self.__dict__["strands"] = strands
+
+    def __hash__(self):
+        return hash((self.signs, self.strands))  # component_of is a dict
 
 
-@lru_cache(maxsize=None)
+# An analysis is large (over 100 KB for 300 crossings) and is reread
+# only right after it is made, so only the last few are kept.
+@lru_cache(maxsize=8)
 def _analyze(d: Diagram) -> _Analysis:
     component_of: dict[int, int] = {}
     for ci, comp in enumerate(d.component_edges):

@@ -12,15 +12,13 @@ three 0-framed components with zero mutual linking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .invariants import CouplingLevel, Invariant
 from .linkdiagram import FramedLink, validate
 from .surgery import SurgeryPresentation
 
 
-@dataclass(frozen=True)
-class HomologyData:
+class HomologyData(Record):
     """Homology pairings of a coloured link in S^1 x Sigma_g.
 
     genus 0 means S^1 x S^2.  pairings holds the 2g+1 charge-weighted
@@ -28,19 +26,18 @@ class HomologyData:
     self_form is the integer framed self-intersection of the link.
     """
 
-    genus: int
-    pairings: tuple[int, ...]
-    self_form: int
-
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"genus must be nonnegative, got {self.genus}")
-        object.__setattr__(self, "pairings", tuple(self.pairings))
-        if len(self.pairings) != 2 * self.genus + 1:
+    def __init__(self, genus: int, pairings, self_form: int) -> None:
+        if genus < 0:
+            raise ValueError(f"genus must be nonnegative, got {genus}")
+        pairings = tuple(pairings)
+        if len(pairings) != 2 * genus + 1:
             raise ValueError(
-                f"expected {2 * self.genus + 1} pairings for genus "
-                f"{self.genus}, got {len(self.pairings)}"
+                f"expected {2 * genus + 1} pairings for genus "
+                f"{genus}, got {len(pairings)}"
             )
+        self.__dict__["genus"] = genus
+        self.__dict__["pairings"] = pairings
+        self.__dict__["self_form"] = self_form
 
 
 def s1xsigma_expectation(h: HomologyData, k) -> Invariant:

@@ -37,8 +37,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .cyclotomic import CycNum, root_power
 from .invariants import CouplingLevel, Invariant, quadratic_form
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
@@ -64,12 +64,12 @@ class NotIsolated(ValueError):
     """Blow-down target still links other components."""
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(Record):
     """A framed link with surgery and observed components, plus the coupling."""
 
-    link: FramedLink
-    level: CouplingLevel
+    def __init__(self, link: FramedLink, level: CouplingLevel) -> None:
+        self.__dict__["link"] = link
+        self.__dict__["level"] = level
 
     @classmethod
     def make(cls, link: FramedLink, k) -> SurgeryPresentation:
@@ -82,12 +82,12 @@ class SurgeryPresentation:
         return self.level.k
 
 
-@dataclass(frozen=True)
-class GaussSum:
+class GaussSum(Record):
     """Exact value of a colour-lattice sum and the number of terms."""
 
-    value: CycNum
-    terms: int
+    def __init__(self, value: CycNum, terms: int) -> None:
+        self.__dict__["value"] = value
+        self.__dict__["terms"] = terms
 
 
 def _groups(indices: list[int], linking) -> list[list[int]]:

@@ -5,17 +5,26 @@ from __future__ import annotations
 import cmath
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import acsl
-from acsl import FramedLink, SurgeryPresentation, blow_up, handle_slide, s3_expectation
-from acsl.cli import invariant_to_json, link_from_object, link_to_json, load_link_json, run
+from acsl import CycNum, FramedLink, SurgeryPresentation, blow_up, handle_slide, s3_expectation
+from acsl.cli import (
+    cyc_to_json,
+    invariant_to_json,
+    link_from_object,
+    link_to_json,
+    load_link_json,
+    run,
+)
 
 HOPF = {"linking": [[0, 1], [1, 0]], "charges": [1, 1]}
 MERIDIAN = {
@@ -360,13 +369,13 @@ def test_s3_serialises_with_one_root_power(monkeypatch):
 
 
 def _modules_loaded(argv):
-    """The acsl modules a fresh interpreter holds after running one job."""
+    """The modules a fresh interpreter holds after running one job."""
     script = (
         "import contextlib, io, json, sys\n"
         "import acsl.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = acsl.cli.run(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('acsl'))]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(acsl.__file__).parent.parent)}
     done = subprocess.run(
@@ -378,10 +387,58 @@ def _modules_loaded(argv):
     return set(modules)
 
 
+# Loaded by dataclasses (inspect) and fractions (decimal), which no job needs.
+HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
+
+
 def test_one_shot_commands_load_only_what_they_use(tmp_path):
     path = write(tmp_path, "hopf.json", HOPF)
     for command in ("s3", "satellite"):
         loaded = _modules_loaded([command, "--input", path, "--k", "50"])
         assert loaded.isdisjoint({"acsl.surgery", "acsl.manifolds", "acsl.checks"}), command
+        assert loaded.isdisjoint(HEAVY_STDLIB), command
     path = write(tmp_path, "h.json", {"genus": 0, "N": [4], "q_self": 3})
-    assert "acsl.checks" not in _modules_loaded(["s1xs2", "--input", path, "--k", "2"])
+    loaded = _modules_loaded(["s1xs2", "--input", path, "--k", "2"])
+    assert "acsl.checks" not in loaded
+    assert loaded.isdisjoint(HEAVY_STDLIB)
+    path = write(tmp_path, "meridian.json", MERIDIAN)
+    assert _modules_loaded(["surgery", "--input", path, "--k", "2"]).isdisjoint(HEAVY_STDLIB)
+    check = ["check", "--suite", "kirby", "--trials", "2", "--k", "1"]
+    assert _modules_loaded(check).isdisjoint(HEAVY_STDLIB)
+
+
+def test_huge_k_is_refused_before_any_allocation(tmp_path, capsys):
+    inputs = {
+        "s3": HOPF,
+        "satellite": HOPF,
+        "surgery": MERIDIAN,
+        "s1xs2": {"genus": 0, "N": [4], "q_self": 3},
+        "s1xsigma": {"genus": 1, "N": [4, 0, 0], "q_self": 3},
+    }
+    for command, obj in inputs.items():
+        path = write(tmp_path, f"{command}.json", obj)
+        start = time.perf_counter()
+        code, out, err = run_json(capsys, [command, "--input", path, "--k", "-1000000000"])
+        assert time.perf_counter() - start < 1, command
+        assert (code, out, err["error"]) == (2, None, "InputError"), command
+        assert err["message"].startswith("k:"), command
+    path = write(tmp_path, "hopf_k.json", {**HOPF, "k": 100_001})
+    code, _, err = run_json(capsys, ["s3", "--input", path])
+    assert code == 2 and err["message"].startswith("k:")
+    path = write(tmp_path, "hopf.json", HOPF)
+    code, out, _ = run_json(capsys, ["s3", "--input", path, "--k", "100000"])
+    assert code == 0
+    assert (out["order"], out["phase_exponent"]) == (400_000, 399_998)
+
+
+def test_json_coordinates_are_the_fractions_in_lowest_terms():
+    rng = random.Random(8)
+    for n in (3, 4, 8, 12, 20):
+        for _ in range(20):
+            raw = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(1, 9))]
+            value = CycNum.from_coeffs(n, raw)
+            expected = [[c.numerator, c.denominator] for c in value.coeffs]
+            assert cyc_to_json(value) == {"n": n, "coeffs": expected}
+    value = CycNum.from_coeffs(8, [Fraction(-1, 2), Fraction(3, 4), 0, 5])
+    assert value.den == 4
+    assert cyc_to_json(value)["coeffs"] == [[-1, 2], [3, 4], [0, 1], [5, 1]]

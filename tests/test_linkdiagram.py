@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -281,3 +283,51 @@ def test_add_surgery_appends_uncharged_components():
 def test_add_surgery_needs_one_framing_per_column():
     with pytest.raises(ValueError):
         ABC.add_surgery([(0, 0, 0)], [1, 1], ["S1"])
+
+
+def twisted_closure_text(crossings: int, offset: int) -> str:
+    """PD text of the closure of the two-strand braid sigma_1**crossings
+    (a (2, crossings) torus link), edge labels shifted by offset."""
+    succ, terms, cur = {}, [], [0, 1]
+    for _ in range(crossings):
+        x, y = cur
+        fresh = 2 * len(terms) + 2
+        succ[x], succ[y] = fresh, fresh + 1
+        terms.append((y, fresh, fresh + 1, x))
+        cur = [fresh + 1, fresh]
+    alias = {cur[0]: 0, cur[1]: 1}
+    succ = {e: alias.get(f, f) for e, f in succ.items()}
+    components, seen = [], set()
+    for start in (0, 1):
+        comp, e = [], start
+        while e not in seen:
+            seen.add(e)
+            comp.append(e)
+            e = succ[e]
+        if comp:
+            components.append(comp)
+    label = {e: i + offset for i, e in enumerate(e for comp in components for e in comp)}
+    xs = " ".join("X({},{},{},{})".format(*(label[alias.get(e, e)] for e in x)) for x in terms)
+    return xs + " C: " + "; ".join(" ".join(str(label[e]) for e in comp) for comp in components)
+
+
+def test_analysis_cache_is_bounded():
+    from acsl.linkdiagram import _analyze
+
+    before = _analyze.cache_info()
+    d = parse_pd(twisted_closure_text(300, 1))
+    assert linking_matrix(d, [0, 0]).linking == ((0, 150), (150, 0))
+    after = _analyze.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(40):
+            linking_matrix(parse_pd(twisted_closure_text(300, 1000 * i + 2)), "blackboard")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 << 20  # about 150 KB an analysis; 40 unbounded hold 6 MB
