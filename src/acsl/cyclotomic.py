@@ -159,13 +159,12 @@ class CycNum(Record):
     def from_coeffs(cls, n: int, raw) -> CycNum:
         """Build from rational coordinates of any degree (reduced modulo Phi_n)."""
         raw = list(raw)
-        if all(type(c) is int for c in raw):
-            return CycNum(n, tuple(_reduce(n, raw)), 1)
-        from fractions import Fraction
+        if not all(isinstance(c, int) for c in raw):
+            from fractions import Fraction
 
-        rational = [c if isinstance(c, int) else Fraction(c) for c in raw]
-        den = math.lcm(*[c.denominator for c in rational])
-        return _lowest(n, _reduce(n, [c.numerator * (den // c.denominator) for c in rational]), den)
+            raw = [c if isinstance(c, int) else Fraction(c) for c in raw]
+        den = math.lcm(*[c.denominator for c in raw])
+        return _lowest(n, _reduce(n, [c.numerator * (den // c.denominator) for c in raw]), den)
 
     @classmethod
     def zero(cls, n: int) -> CycNum:
@@ -214,13 +213,12 @@ class CycNum(Record):
                     for j, b in enumerate(other.num):
                         prod[i + j] += a * b
             return _lowest(self.n, _reduce(self.n, prod), self.den * other.den)
-        if isinstance(other, int):
-            return _lowest(self.n, [c * other for c in self.num], self.den)
-        from fractions import Fraction
+        if not isinstance(other, int):
+            from fractions import Fraction
 
-        if isinstance(other, Fraction):
-            return _lowest(self.n, [c * other.numerator for c in self.num], self.den * other.denominator)
-        return NotImplemented
+            if not isinstance(other, Fraction):
+                return NotImplemented
+        return _lowest(self.n, [c * other.numerator for c in self.num], self.den * other.denominator)
 
     __rmul__ = __mul__
 

@@ -229,8 +229,9 @@ class _Analysis(Record):
 
 
 # An analysis is large (over 100 KB for 300 crossings) and is reread
-# only right after it is made, so only the last few are kept.
-@lru_cache(maxsize=8)
+# only right after it is made (parse_pd, then linking_matrix on the same
+# diagram), so only the last one is kept.
+@lru_cache(maxsize=1)
 def _analyze(d: Diagram) -> _Analysis:
     component_of: dict[int, int] = {}
     for ci, comp in enumerate(d.component_edges):

@@ -330,4 +330,4 @@ def test_analysis_cache_is_bounded():
         retained = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert retained < 2 << 20  # about 150 KB an analysis; 40 unbounded hold 6 MB
+    assert retained < 512 << 10  # the one kept analysis is about 150 KB; 40 unbounded hold 6 MB
