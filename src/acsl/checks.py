@@ -9,6 +9,7 @@ bit-identical.
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from .invariants import quadratic_form, s3_expectation, simplicial_satellite
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
@@ -222,6 +223,17 @@ def suite_oracle(
 HOMOLOGY_COUPLINGS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
 
 
+def kernel_witness_holds(p: SurgeryPresentation, y) -> bool:
+    """Whether y proves the ratio undefined: A y = 0 (mod 2|k|) and
+    y.Ay != 0 (mod 4|k|), for A the surgery block, computed directly."""
+    a = p.link.select(p.link.surgery()).linking
+    if y is None or len(y) != len(a):
+        return False
+    ay = [sum(map(mul, row, y)) for row in a]
+    m = p.level.colour_modulus
+    return all(v % m == 0 for v in ay) and sum(map(mul, y, ay)) % (2 * m) != 0
+
+
 def suite_homology(
     trials: int = 1000,
     seed: int = 0,
@@ -234,9 +246,10 @@ def suite_homology(
     surgery_expectation is compared with the exact Gauss-sum ratio
     (value, zero and undefined must all agree) and with the float sums
     (within tolerance, and undefined exactly when the float denominator
-    vanishes).  Trials whose lattices exceed max_terms are skipped and
-    counted; undefined and zero outcomes are counted, so that a run
-    which never reached them is visible.
+    vanishes, with a kernel witness that checks).  Trials whose lattices
+    exceed max_terms are skipped and counted; undefined and zero
+    outcomes are counted, so that a run which never reached them is
+    visible.
     """
     rng = random.Random(seed)
     couplings = HOMOLOGY_COUPLINGS if k is None else (k,)
@@ -256,11 +269,13 @@ def suite_homology(
             continue
         try:
             got = surgery_expectation(p)
-        except DenominatorZero:
-            got = None
+        except DenominatorZero as exc:
+            got, witness = None, exc.kernel
         where = f"trial {t}: k={kk} {p.link.linking} {p.link.charges}"
         if got is None:
             undefined += 1
+            if not kernel_witness_holds(p, witness):
+                failures.append(f"{where}: undefined, kernel witness {witness} fails")
             if not exact_den.is_zero:
                 failures.append(f"{where}: undefined, exact ratio is defined")
             if abs(denominator) >= 1e-6:

@@ -24,6 +24,7 @@ from .invariants import (
     simplicial_satellite,
 )
 from .linkdiagram import (
+    OBSERVED,
     DiagramError,
     FramedLink,
     PDError,
@@ -35,6 +36,11 @@ from .linkdiagram import (
 # Largest |k| the evaluating commands accept.  Output carries phi(4|k|)
 # coordinates: s3 on the Hopf link writes 1.28 MB at this limit.
 K_LIMIT = 100_000
+
+# Largest link satellite writes: the sum of |q| over the observed
+# components plus the surgery count.  The expanded linking matrix has
+# the square of that many entries (4 MB of output at this limit).
+SATELLITE_LIMIT = 1000
 
 
 class InputError(ValueError):
@@ -295,6 +301,14 @@ def run(argv) -> int:
             _emit({"command": args.command, "k": level.k, **invariant_to_json(inv)})
         elif args.command == "satellite":
             fl = link_from_object(obj)
+            size = sum(
+                abs(q) if r == OBSERVED else 1 for q, r in zip(fl.charges, fl.roles)
+            )
+            if size > SATELLITE_LIMIT:
+                raise InputError(
+                    f"charges: the expansion has {size} components, "
+                    f"above the limit of {SATELLITE_LIMIT}"
+                )
             expanded = simplicial_satellite(fl)
             payload = {
                 "command": "satellite",

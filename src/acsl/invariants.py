@@ -9,6 +9,8 @@ and preserve that value, which the property tests check exactly.
 
 from __future__ import annotations
 
+from operator import mul
+
 from ._record import Record
 from .cyclotomic import CycNum, root_power
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
@@ -89,16 +91,13 @@ class Invariant(Record):
 
 def quadratic_form(fl: FramedLink, role: str | None = None) -> int:
     """q . L q, with charges of components outside the role filter zeroed."""
-    charges = [
-        q if role is None or r == role else 0
-        for q, r in zip(fl.charges, fl.roles)
-    ]
+    charges = fl.charges
+    if role is not None:
+        charges = [q if r == role else 0 for q, r in zip(charges, fl.roles)]
     total = 0
-    for i, qi in enumerate(charges):
-        if qi == 0:
-            continue
-        row = fl.linking[i]
-        total += qi * sum(entry * qj for entry, qj in zip(row, charges))
+    for qi, row in zip(charges, fl.linking):
+        if qi:
+            total += qi * sum(map(mul, row, charges))
     return total
 
 
@@ -109,7 +108,7 @@ def s3_expectation(fl: FramedLink, k) -> Invariant:
     components belong to the surgery module instead.
     """
     level = CouplingLevel.of(k)
-    if any(r == SURGERY for r in fl.roles):
+    if SURGERY in fl.roles:
         raise SurgeryComponentError(
             "link has surgery components; use surgery_expectation"
         )
@@ -159,16 +158,26 @@ def satellite_expand(fl: FramedLink, j: int, sign: int) -> FramedLink:
 def simplicial_satellite(fl: FramedLink) -> FramedLink:
     """Expand satellites until every observed charge is +1 or -1.
 
-    Zero-charge observed components are deleted first; each expansion
-    peels one unit of charge off a component, so the loop terminates.
-    Surgery components pass through untouched.
+    An observed component of charge q != 0 becomes |q| parallel
+    push-offs of unit charge sign(q), linked to each other by its
+    framing, in one selection of the linking matrix; zero-charge
+    observed components are deleted, and surgery components pass
+    through untouched.  The result is what repeated satellite_expand
+    on the first component of charge beyond +-1 gives, names included:
+    copy t of a component named C of charge q is C + ".1" * (|q| - 1)
+    for t = 0 and C + ".1" * (|q| - 1 - t) + ".2" for t >= 1.  The cost
+    is quadratic in the expanded size.
     """
-    keep = [i for i in range(fl.n) if fl.roles[i] != OBSERVED or fl.charges[i] != 0]
-    out = fl.select(keep) if len(keep) < fl.n else fl
-    while True:
-        for j in range(out.n):
-            if out.roles[j] == OBSERVED and abs(out.charges[j]) > 1:
-                out = satellite_expand(out, j, -1 if out.charges[j] > 0 else 1)
-                break
-        else:
-            return out
+    order, charges, names = [], [], []
+    for i, (q, role, name) in enumerate(zip(fl.charges, fl.roles, fl.names)):
+        if role != OBSERVED:
+            order.append(i)
+            charges.append(q)
+            names.append(name)
+        elif q:
+            copies = abs(q)
+            order += [i] * copies
+            charges += [1 if q > 0 else -1] * copies
+            names += [name + ".1" * (copies - 1 - t) + ".2" * (t > 0) for t in range(copies)]
+    out = fl.select(order)
+    return FramedLink(out.linking, tuple(charges), out.roles, tuple(names))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 import warnings
 from functools import lru_cache
+from itertools import chain
 
 from ._record import Record
 
@@ -40,6 +41,7 @@ OBSERVED = "observed"
 SURGERY = "surgery"
 
 _ROLES = (OBSERVED, SURGERY)
+_INT = frozenset([int])
 
 
 class PDError(ValueError):
@@ -93,7 +95,7 @@ class FramedLink(Record):
     @classmethod
     def make(cls, linking, charges=None, roles=None, names=None) -> FramedLink:
         """Normalize sequences to tuples, fill defaults, and validate."""
-        matrix = tuple(tuple(row) for row in linking)
+        matrix = tuple(map(tuple, linking))
         n = len(matrix)
         if charges is None:
             charges = [0] * n
@@ -119,8 +121,9 @@ class FramedLink(Record):
         linking.  An index may repeat: the copy is a parallel push-off,
         linked to the original by its framing."""
         order = tuple(order)
+        rows = [self.linking[r] for r in order]
         return FramedLink(
-            tuple([tuple([self.linking[r][c] for c in order]) for r in order]),
+            tuple([tuple([row[c] for c in order]) for row in rows]),
             tuple([self.charges[i] for i in order]),
             tuple([self.roles[i] for i in order]),
             tuple([self.names[i] for i in order]),
@@ -146,34 +149,45 @@ class FramedLink(Record):
 
 
 def validate(fl: FramedLink) -> FramedLink:
-    """Check all FramedLink invariants; identity on success."""
-    n = len(fl.linking)
-    if not (len(fl.charges) == len(fl.roles) == len(fl.names) == n):
+    """Check all FramedLink invariants; identity on success.
+
+    Two whole-matrix passes accept the common case, plain int entries
+    and charges in a symmetric tuple of tuples (a tuple of rows equal to
+    its transpose is square).  Only when one fails do the per-entry
+    loops run, to name the first offending entry, or to accept the int
+    subclasses the passes leave out.
+    """
+    rows, charges, roles = fl.linking, fl.charges, fl.roles
+    n = len(rows)
+    if not (len(charges) == len(roles) == len(fl.names) == n):
         raise DiagramError("charges, roles and names must match the matrix size")
-    for i, row in enumerate(fl.linking):
-        if len(row) != n:
-            raise DiagramError(f"linking[{i}] has length {len(row)}, expected {n}")
-    for i, row in enumerate(fl.linking):
-        for j, entry in enumerate(row):
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise DiagramError(f"linking[{i}][{j}] is not an integer: {entry!r}")
-            if fl.linking[j][i] != entry:
-                raise DiagramError(
-                    f"linking matrix is not symmetric at ({i},{j}): "
-                    f"{entry} vs {fl.linking[j][i]}"
+    if not (_INT.issuperset(map(type, chain(charges, *rows))) and tuple(zip(*rows)) == rows):
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise DiagramError(f"linking[{i}] has length {len(row)}, expected {n}")
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                if not isinstance(entry, int) or isinstance(entry, bool):
+                    raise DiagramError(f"linking[{i}][{j}] is not an integer: {entry!r}")
+                if rows[j][i] != entry:
+                    raise DiagramError(
+                        f"linking matrix is not symmetric at ({i},{j}): "
+                        f"{entry} vs {rows[j][i]}"
+                    )
+        for i, q in enumerate(charges):
+            if not isinstance(q, int) or isinstance(q, bool):
+                raise DiagramError(f"charges[{i}] is not an integer: {q!r}")
+    # Counted rather than put in a set: roles read from JSON may be unhashable.
+    if roles.count(SURGERY) or roles.count(OBSERVED) != n:
+        for i, role in enumerate(roles):
+            if role not in _ROLES:
+                raise DiagramError(f"roles[{i}] must be one of {_ROLES}, got {role!r}")
+            if role == SURGERY and charges[i] != 0:
+                warnings.warn(
+                    f"surgery component {fl.names[i]} carries charge {charges[i]}; "
+                    "evaluators ignore it",
+                    stacklevel=2,
                 )
-    for i, q in enumerate(fl.charges):
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise DiagramError(f"charges[{i}] is not an integer: {q!r}")
-    for i, role in enumerate(fl.roles):
-        if role not in _ROLES:
-            raise DiagramError(f"roles[{i}] must be one of {_ROLES}, got {role!r}")
-        if role == SURGERY and fl.charges[i] != 0:
-            warnings.warn(
-                f"surgery component {fl.names[i]} carries charge {fl.charges[i]}; "
-                "evaluators ignore it",
-                stacklevel=2,
-            )
     return fl
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from operator import mul
 
 from ._record import Record
 from .cyclotomic import CycNum, root_power
@@ -45,7 +46,16 @@ from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
 
 class DenominatorZero(ArithmeticError):
-    """The normalizing Gauss sum vanishes; the ratio is undefined."""
+    """The normalizing Gauss sum vanishes; the ratio is undefined.
+
+    kernel is the witness when the homological evaluator raised it: a
+    vector y over the surgery components, in fl.surgery() order, with
+    A y = 0 (mod 2|k|) and y.Ay != 0 (mod 4|k|) for the surgery block A.
+    """
+
+    def __init__(self, message: str, kernel: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.kernel = kernel
 
 
 class TermLimit(ValueError):
@@ -270,7 +280,7 @@ def _smith_mod(a, m: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
 
 def _form(a, y) -> int:
     """The integer y.Ay."""
-    return sum(yi * sum(aij * yj for aij, yj in zip(row, y)) for yi, row in zip(y, a))
+    return sum([yi * sum(map(mul, row, y)) for yi, row in zip(y, a)])
 
 
 def surgery_expectation(p: SurgeryPresentation) -> Invariant:
@@ -287,26 +297,30 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     m = level.colour_modulus
     n = level.root_order
     surgery = fl.surgery()
-    observed = fl.observed()
+    charges = [q if r == OBSERVED else 0 for q, r in zip(fl.charges, fl.roles)]
     a = fl.select(surgery).linking
-    b = [sum(fl.linking[i][j] * fl.charges[j] for j in observed) for i in surgery]
+    b = [sum(map(mul, fl.linking[i], charges)) for i in surgery]
     u, d, v = _smith_mod(a, m)
     steps = [m // math.gcd(di, m) for di in d]
     for i, step in enumerate(steps):
+        if step == m:  # unit invariant factor: the kernel column is 0 mod m
+            continue
         y = [row[i] * step % m for row in v]
         if _form(a, y) % n:
             raise DenominatorZero(
                 f"normalizing Gauss sum vanishes at k={level.k}: the kernel "
-                f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}"
+                f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}",
+                tuple(y),
             )
     x = [0] * len(surgery)
     for i, (di, step) in enumerate(zip(d, steps)):
         g = m // step
-        target = sum(uij * bj for uij, bj in zip(u[i], b)) % m
+        target = sum(map(mul, u[i], b)) % m
         if target % g:
             return Invariant.zero(n)
         z = target // g * pow(di // g, -1, step) % step
-        x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
+        if z:
+            x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
     phase = quadratic_form(fl, OBSERVED) - _form(a, x)
     return Invariant.from_quadratic(level, phase)
 

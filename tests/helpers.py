@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from acsl import Diagram, crossing_signs, strand_orientations
+from acsl import Diagram, FramedLink, crossing_signs, satellite_expand, strand_orientations
 from acsl.checks import random_link, random_presentation  # noqa: F401  re-exported
 
 # kind -> (signs, u stays over at second crossing?)
@@ -93,6 +93,21 @@ def linking_by_over_strand(d: Diagram, i: int, j: int) -> int:
         if comp_of[x[0]] == j and comp_of[x[1]] == i:
             total += sign
     return total
+
+
+def satellite_by_expansion(fl: FramedLink) -> FramedLink:
+    """Oracle for simplicial_satellite: drop the zero-charge observed
+    components, then peel one unit of charge at a time off the first
+    observed component beyond +-1 with satellite_expand."""
+    keep = [i for i in range(fl.n) if fl.roles[i] != "observed" or fl.charges[i] != 0]
+    out = fl.select(keep) if len(keep) < fl.n else fl
+    while True:
+        for j in range(out.n):
+            if out.roles[j] == "observed" and abs(out.charges[j]) > 1:
+                out = satellite_expand(out, j, -1 if out.charges[j] > 0 else 1)
+                break
+        else:
+            return out
 
 
 def random_edge(rng: random.Random, d: Diagram, comp: int) -> int:

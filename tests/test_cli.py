@@ -442,3 +442,26 @@ def test_json_coordinates_are_the_fractions_in_lowest_terms():
     value = CycNum.from_coeffs(8, [Fraction(-1, 2), Fraction(3, 4), 0, 5])
     assert value.den == 4
     assert cyc_to_json(value)["coeffs"] == [[-1, 2], [3, 4], [0, 1], [5, 1]]
+
+
+def test_satellite_expansion_is_limited(tmp_path, capsys):
+    from acsl.cli import SATELLITE_LIMIT
+
+    assert SATELLITE_LIMIT == 1000
+    path = write(tmp_path, "at_limit.json", {"linking": [[1]], "charges": [-1000]})
+    code, out, _ = run_json(capsys, ["satellite", "--input", path, "--k", "3"])
+    assert code == 0 and out["equal"] is True
+    assert out["link"]["charges"] == [-1] * 1000
+    assert out["link"]["linking"][999] == [1] * 1000
+    surgery = {
+        "linking": [[0, 1, 0], [1, 2, 0], [0, 0, -1]],
+        "charges": [600, 0, -400],
+        "roles": ["observed", "surgery", "observed"],
+    }
+    for obj in ({"linking": [[1]], "charges": [1001]}, surgery, {**HOPF, "charges": [-10**9, 1]}):
+        path = write(tmp_path, "over_limit.json", obj)
+        start = time.perf_counter()
+        code, out, err = run_json(capsys, ["satellite", "--input", path, "--k", "3"])
+        assert time.perf_counter() - start < 1
+        assert (code, out, err["error"]) == (2, None, "InputError")
+        assert err["message"].startswith("charges:")

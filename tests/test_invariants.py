@@ -21,7 +21,7 @@ from acsl import (
     satellite_expand,
     simplicial_satellite,
 )
-from helpers import random_link
+from helpers import random_link, random_presentation, satellite_by_expansion
 
 HOPF = FramedLink.make([[0, 1], [1, 0]], charges=[1, 1])
 
@@ -261,3 +261,38 @@ def test_zero_is_no_root_of_unity_without_a_scan(monkeypatch):
     monkeypatch.setattr(invariants, "root_power", scanned)
     assert Invariant.zero(400).phase_exponent() is None
     assert s3_expectation(HOPF, 1000).phase_exponent() == 3998
+
+
+def test_simplicial_satellite_matches_the_expansion_loop():
+    rng = random.Random(12)
+    for t in range(2000):
+        bound = 1 + t % 9
+        if t % 2:
+            fl = random_presentation(rng, max_surgery=3, max_observed=4, charge_bound=bound)
+        else:
+            fl = random_link(rng, max_components=4, charge_bound=bound)
+        assert simplicial_satellite(fl) == satellite_by_expansion(fl), (fl, t)
+
+
+def test_simplicial_satellite_names_the_copies_like_the_loop():
+    fl = FramedLink.make([[2, 1, 0], [1, 0, 1], [0, 1, -1]], charges=[-4, 0, 1])
+    out = simplicial_satellite(fl)
+    assert out.names == ("C1.1.1.1", "C1.1.1.2", "C1.1.2", "C1.2", "C3")
+    assert out.charges == (-1, -1, -1, -1, 1)
+    assert out.linking[0] == (2, 2, 2, 2, 0)
+    assert out == satellite_by_expansion(fl)
+
+
+def test_simplicial_satellite_selects_once(monkeypatch):
+    calls = []
+    select = FramedLink.select
+
+    def counted(self, order):
+        calls.append(1)
+        return select(self, order)
+
+    monkeypatch.setattr(FramedLink, "select", counted)
+    out = simplicial_satellite(FramedLink.make([[3]], charges=[600]))
+    assert len(calls) == 1
+    assert out.n == 600 and set(out.charges) == {1}
+    assert out.linking[599] == (3,) * 600

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -331,3 +332,53 @@ def test_analysis_cache_is_bounded():
     finally:
         tracemalloc.stop()
     assert retained < 512 << 10  # the one kept analysis is about 150 KB; 40 unbounded hold 6 MB
+
+
+ROLE_CHOICES = "('observed', 'surgery')"
+
+
+@pytest.mark.parametrize(
+    "linking, fields, message",
+    [
+        ([[0, 1], [1]], {}, "linking[1] has length 1, expected 2"),
+        ([[0, True], [True, 0]], {}, "linking[0][1] is not an integer: True"),
+        ([[0, "1"], ["1", 0]], {}, "linking[0][1] is not an integer: '1'"),
+        ([[0, 1, 0], [1, 0, 2], [0, 3, 0]], {}, "linking matrix is not symmetric at (1,2): 2 vs 3"),
+        ([[0, 1], [1, 0]], {"charges": [1, False]}, "charges[1] is not an integer: False"),
+        ([[0]], {"charges": ["2"]}, "charges[0] is not an integer: '2'"),
+        ([[0, 1], [1, 0]], {"roles": ["observed", "framing"]},
+         f"roles[1] must be one of {ROLE_CHOICES}, got 'framing'"),
+        ([[0]], {"roles": [["observed"]]}, f"roles[0] must be one of {ROLE_CHOICES}, got ['observed']"),
+        ([[0, 1], [1, 0]], {"charges": [1]}, "charges, roles and names must match the matrix size"),
+        ([[0]], {"names": ["A", "B"]}, "charges, roles and names must match the matrix size"),
+    ],
+)
+def test_validate_names_the_first_offending_field(linking, fields, message):
+    with pytest.raises(DiagramError) as info:
+        FramedLink.make(linking, **fields)
+    assert str(info.value) == message
+
+
+def test_validate_accepts_int_subclasses():
+    class Count(int):
+        pass
+
+    fl = FramedLink.make([[Count(2), 1], [1, 0]], charges=[Count(1), 3])
+    assert validate(fl) is fl
+
+
+def test_validate_warns_once_per_charged_surgery_component():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        FramedLink.make([[1, 2], [2, 0]], charges=[5, 1], roles=["surgery", "observed"])
+    assert [str(w.message) for w in caught] == [
+        "surgery component C1 carries charge 5; evaluators ignore it"
+    ]
+
+
+def test_validate_warns_before_naming_a_later_bad_role():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DiagramError, match=r"^roles\[1\] must be one of"):
+            FramedLink.make([[0, 0], [0, 0]], charges=[3, 0], roles=["surgery", "bad"])
+    assert len(caught) == 1

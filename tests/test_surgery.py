@@ -22,7 +22,12 @@ from acsl import (
     s3_expectation,
     surgery_expectation,
 )
-from acsl.checks import random_kirby_move, random_presentation, suite_homology
+from acsl.checks import (
+    kernel_witness_holds,
+    random_kirby_move,
+    random_presentation,
+    suite_homology,
+)
 from acsl.surgery import NotIsolated, NotSurgery, NotUnitFramed, _smith_mod
 
 
@@ -334,3 +339,43 @@ def test_homology_suite_reaches_every_outcome():
     assert report["undefined"] > 0 and report["zero"] > 0
     assert report["skipped"] < report["trials"] // 2
 
+
+
+def test_denominator_zero_carries_its_kernel_vector():
+    p = presentation([[2]], roles=["surgery"], k=1)
+    with pytest.raises(DenominatorZero) as info:
+        surgery_expectation(p)
+    assert info.value.kernel == (1,)
+    assert str(info.value) == (
+        "normalizing Gauss sum vanishes at k=1: the kernel vector [1] of the "
+        "surgery block mod 2 has y.Ay != 0 mod 4"
+    )
+    # two surgery components around an observed one, at k=2
+    p = presentation(
+        [[-3, 0, -3], [0, 1, 1], [-3, 1, 1]],
+        charges=[0, 1, 0],
+        roles=["surgery", "observed", "surgery"],
+        k=2,
+    )
+    with pytest.raises(DenominatorZero) as info:
+        surgery_expectation(p)
+    assert info.value.kernel == (3, 1)
+    assert kernel_witness_holds(p, (3, 1))
+    assert not kernel_witness_holds(p, (1, 0))  # A y != 0 mod 4
+    assert not kernel_witness_holds(p, (2, 2))  # y.Ay = 0 mod 8
+    assert not kernel_witness_holds(p, None)
+    _, den = oracle_sums(p)
+    assert abs(den) < 1e-6
+
+
+def test_every_undefined_presentation_has_a_checkable_witness():
+    rng = random.Random(23)
+    seen = 0
+    for _ in range(400):
+        p = random_surgery(rng, k=rng.choice([1, 2, -2, 3, 4]), max_surgery=4)
+        try:
+            surgery_expectation(p)
+        except DenominatorZero as exc:
+            assert kernel_witness_holds(p, exc.kernel)
+            seen += 1
+    assert seen >= 20
