@@ -37,6 +37,15 @@ from .linkdiagram import (
 # coordinates: s3 on the Hopf link writes 1.28 MB at this limit.
 K_LIMIT = 100_000
 
+# Largest |k| of check --suite homology, whose unskipped trials build
+# coordinates of order 4|k| (100 trials near it: under 1 s on a 2-core VM).
+# The oracle suite shares K_LIMIT; the others read no coordinates.
+HOMOLOGY_K_LIMIT = 20_000
+
+# Most surgery components surgery takes: elimination is cubic in them,
+# and 120 dense ones answer in about 1 s on a 2-core VM.
+SURGERY_LIMIT = 120
+
 # Largest link satellite writes: the sum of |q| over the observed
 # components plus the surgery count.  The expanded linking matrix has
 # the square of that many entries (4 MB of output at this limit).
@@ -267,6 +276,9 @@ def run(argv) -> int:
                 kwargs["max_terms"] = args.max_terms
             if args.k == 0:
                 raise InputError("k: coupling must be nonzero")
+            limit = {"oracle": K_LIMIT, "homology": HOMOLOGY_K_LIMIT}.get(args.suite)
+            if limit and args.k is not None and abs(args.k) > limit:
+                raise InputError(f"k: |k| = {abs(args.k)} exceeds the {args.suite} suite's limit of {limit}")
             report = SUITES[args.suite](**kwargs)
             _emit({"command": "check", **report})
             return 0 if report["passed"] else 1
@@ -284,6 +296,9 @@ def run(argv) -> int:
             from . import DenominatorZero, SurgeryPresentation, surgery_expectation
 
             fl = link_from_object(obj)
+            s = len(fl.surgery())
+            if s > SURGERY_LIMIT:
+                raise InputError(f"roles: {s} surgery components exceed the limit of {SURGERY_LIMIT}")
             try:
                 inv = surgery_expectation(SurgeryPresentation.make(fl, level))
             except DenominatorZero as exc:

@@ -32,7 +32,7 @@ class CouplingLevel(Record):
 
     @classmethod
     def of(cls, value) -> CouplingLevel:
-        return value if isinstance(value, CouplingLevel) else cls(value)
+        return value if type(value) is CouplingLevel else cls(value)
 
     @property
     def colour_modulus(self) -> int:
@@ -66,7 +66,8 @@ class Invariant(Record):
     @classmethod
     def from_quadratic(cls, level: CouplingLevel, form_value: int) -> Invariant:
         """The phase zeta_{4|k|}**(-sign(k) * form_value)."""
-        return cls(level.root_order, -level.sign * form_value)
+        k = level.k
+        return cls(4 * abs(k), -form_value if k > 0 else form_value)
 
     @property
     def is_zero(self) -> bool:
@@ -107,7 +108,7 @@ def s3_expectation(fl: FramedLink, k) -> Invariant:
     Always a unit-modulus root of unity; links containing surgery
     components belong to the surgery module instead.
     """
-    level = CouplingLevel.of(k)
+    level = k if type(k) is CouplingLevel else CouplingLevel(k)
     if SURGERY in fl.roles:
         raise SurgeryComponentError(
             "link has surgery components; use surgery_expectation"

@@ -101,20 +101,18 @@ class FramedLink(Record):
             charges = [0] * n
         if roles is None:
             roles = [OBSERVED] * n
-        if names is None:
-            names = [f"C{i + 1}" for i in range(n)]
-        fl = cls(matrix, tuple(charges), tuple(roles), tuple(names))
-        return validate(fl)
+        names = default_names(n) if names is None else tuple(names)
+        return validate(cls(matrix, tuple(charges), tuple(roles), names))
 
     @property
     def n(self) -> int:
         return len(self.linking)
 
     def observed(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r == OBSERVED)
+        return tuple([i for i, r in enumerate(self.roles) if r == OBSERVED])
 
     def surgery(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r == SURGERY)
+        return tuple([i for i, r in enumerate(self.roles) if r == SURGERY])
 
     def select(self, order) -> FramedLink:
         """The components at the given indices, in that order, with their
@@ -137,15 +135,21 @@ class FramedLink(Record):
         """
         columns = [tuple(col) for col in columns]
         extra = len(columns)
-        rows = [row + tuple(col[i] for col in columns) for i, row in enumerate(self.linking)]
+        rows = [row + tuple([col[i] for col in columns]) for i, row in enumerate(self.linking)]
         for c, (col, f) in enumerate(zip(columns, framings, strict=True)):
-            rows.append(col + tuple(f if d == c else 0 for d in range(extra)))
+            rows.append(col + tuple([f if d == c else 0 for d in range(extra)]))
         return FramedLink(
             tuple(rows),
             self.charges + (0,) * extra,
             self.roles + (SURGERY,) * extra,
             self.names + tuple(names),
         )
+
+
+@lru_cache(maxsize=16)
+def default_names(n: int) -> tuple[str, ...]:
+    """C1, ..., Cn: the names of components nobody named."""
+    return tuple([f"C{i + 1}" for i in range(n)])
 
 
 def validate(fl: FramedLink) -> FramedLink:

@@ -41,7 +41,7 @@ from operator import mul
 
 from ._record import Record
 from .cyclotomic import CycNum, root_power
-from .invariants import CouplingLevel, Invariant, quadratic_form
+from .invariants import CouplingLevel, Invariant
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
 
@@ -234,14 +234,20 @@ def _clearing_op(pivot: int, entry: int) -> tuple[int, int, int, int]:
 
 
 def _mix_rows(rows: list[list[int]], t: int, i: int, op, m: int) -> None:
+    """Rows t, i := x t + y i, u t + v i (mod m); (x, y) = (1, 0) keeps t."""
     x, y, u, v = op
     top, other = rows[t], rows[i]
-    rows[t] = [(x * a + y * b) % m for a, b in zip(top, other)]
+    if x != 1 or y:
+        rows[t] = [(x * a + y * b) % m for a, b in zip(top, other)]
     rows[i] = [(u * a + v * b) % m for a, b in zip(top, other)]
 
 
 def _mix_columns(rows: list[list[int]], t: int, j: int, op, m: int) -> None:
     x, y, u, v = op
+    if x == 1 and not y:
+        for row in rows:
+            row[j] = (u * row[t] + v * row[j]) % m
+        return
     for row in rows:
         a, b = row[t], row[j]
         row[t] = (x * a + y * b) % m
@@ -259,8 +265,8 @@ def _smith_mod(a, m: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """
     s = len(a)
     work = [[entry % m for entry in row] for row in a]
-    u = [[int(i == j) for j in range(s)] for i in range(s)]
-    v = [[int(i == j) for j in range(s)] for i in range(s)]
+    u = [[0] * i + [1] + [0] * (s - 1 - i) for i in range(s)]
+    v = [[0] * i + [1] + [0] * (s - 1 - i) for i in range(s)]
     for t in range(s):
         while True:
             for i in range(t + 1, s):
@@ -293,13 +299,14 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     image of the surgery block mod 2|k|, and a phase otherwise.
     """
     fl = p.link
-    level = p.level
-    m = level.colour_modulus
-    n = level.root_order
+    k = p.level.k
+    m = 2 * abs(k)
+    n = 2 * m
     surgery = fl.surgery()
     charges = [q if r == OBSERVED else 0 for q, r in zip(fl.charges, fl.roles)]
-    a = fl.select(surgery).linking
-    b = [sum(map(mul, fl.linking[i], charges)) for i in surgery]
+    rows = [fl.linking[i] for i in surgery]
+    a = [[row[j] for j in surgery] for row in rows]
+    b = [sum(map(mul, row, charges)) for row in rows]
     u, d, v = _smith_mod(a, m)
     steps = [m // math.gcd(di, m) for di in d]
     for i, step in enumerate(steps):
@@ -308,7 +315,7 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
         y = [row[i] * step % m for row in v]
         if _form(a, y) % n:
             raise DenominatorZero(
-                f"normalizing Gauss sum vanishes at k={level.k}: the kernel "
+                f"normalizing Gauss sum vanishes at k={k}: the kernel "
                 f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}",
                 tuple(y),
             )
@@ -318,11 +325,11 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
         target = sum(map(mul, u[i], b)) % m
         if target % g:
             return Invariant.zero(n)
-        z = target // g * pow(di // g, -1, step) % step
-        if z:
+        if target:
+            z = target // g * pow(di // g, -1, step) % step
             x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
-    phase = quadratic_form(fl, OBSERVED) - _form(a, x)
-    return Invariant.from_quadratic(level, phase)
+    phase = _form(fl.linking, charges) - _form(a, x)
+    return Invariant(n, -phase if k > 0 else phase)
 
 
 def blow_up(p: SurgeryPresentation, sign: int) -> SurgeryPresentation:
@@ -368,14 +375,12 @@ def handle_slide(p: SurgeryPresentation, i: int, j: int, sign: int) -> SurgeryPr
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if fl.roles[j] != SURGERY:
         raise NotSurgery(f"component {fl.names[j]} is not a surgery component")
-    matrix = [list(row) for row in fl.linking]
-    new_ii = fl.linking[i][i] + 2 * sign * fl.linking[i][j] + fl.linking[j][j]
-    for mcol in range(fl.n):
-        if mcol != i:
-            matrix[i][mcol] += sign * fl.linking[j][mcol]
-            matrix[mcol][i] = matrix[i][mcol]
-    matrix[i][i] = new_ii
-    link = FramedLink(tuple(tuple(row) for row in matrix), fl.charges, fl.roles, fl.names)
+    linking = fl.linking
+    slid = [a + sign * b for a, b in zip(linking[i], linking[j])]
+    slid[i] = linking[i][i] + 2 * sign * linking[i][j] + linking[j][j]
+    rows = [row[:i] + (e,) + row[i + 1 :] for row, e in zip(linking, slid)]
+    rows[i] = tuple(slid)
+    link = FramedLink(tuple(rows), fl.charges, fl.roles, fl.names)
     return SurgeryPresentation(link, p.level)
 
 

@@ -1,0 +1,148 @@
+"""The property suites' draws and generators.
+
+The suites draw through checks._Rng, which must give exactly the values
+random.Random gives, so that every seed keeps its instances; and the
+generators build FramedLink records directly, so every link they make
+must be one that validate accepts as it is.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import warnings
+
+import pytest
+
+from acsl import checks, validate
+from acsl.cli import run
+
+SUITE_ARGS = {
+    "periodicity": {"trials": 40},
+    "satellite": {"trials": 20},
+    "kirby": {"trials": 15},
+    "oracle": {"trials": 6, "max_terms": 2000},
+    "homology": {"trials": 25},
+    "manifolds": {"trials": 16},
+}
+
+
+def _draws(rng: random.Random, seed: int) -> list:
+    """A mixed sequence of the calls the suites make, shaped by seed."""
+    shape = random.Random(-seed)
+    out = []
+    for _ in range(300):
+        width = shape.randint(1, 100)
+        low = shape.randint(-60, 10)
+        out.append(("randint", rng.randint(low, low + width - 1)))
+        n = shape.randint(1, 40)
+        out.append(("randrange", rng.randrange(n)))
+        out.append(("choice", rng.choice(tuple(range(n)))))
+        if shape.random() < 0.1:
+            roles = list(range(shape.randint(0, 9)))
+            rng.shuffle(roles)
+            out.append(("shuffle", roles))
+    return out
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_rng_draws_equal_random_random(block):
+    for seed in range(block * 60, block * 60 + 60):
+        assert _draws(checks._Rng(seed), seed) == _draws(random.Random(seed), seed)
+
+
+def test_rng_every_width_and_negative_bounds():
+    for seed in range(200):
+        ours, theirs = checks._Rng(seed), random.Random(seed)
+        for width in range(1, 101):
+            for low in (-width, -3 * width - 7, 0, 5):
+                assert ours.randint(low, low + width - 1) == theirs.randint(low, low + width - 1)
+            assert ours.randrange(width) == theirs.randrange(width)
+            assert ours.choice("abcdefghij"[: width % 10 + 1]) == theirs.choice("abcdefghij"[: width % 10 + 1])
+
+
+def test_rng_refuses_what_random_random_refuses():
+    rng = checks._Rng(0)
+    with pytest.raises(ValueError):
+        rng.randint(3, 2)
+    with pytest.raises(ValueError):
+        rng.randrange(0)
+    with pytest.raises(IndexError):
+        rng.choice([])
+    assert rng.randrange(2, 10, 3) in (2, 5, 8)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_ARGS))
+def test_suites_give_the_reports_of_random_random(monkeypatch, suite):
+    ours = [checks.SUITES[suite](seed=seed, **SUITE_ARGS[suite]) for seed in range(5)]
+    monkeypatch.setattr(checks, "_Rng", random.Random)
+    theirs = [checks.SUITES[suite](seed=seed, **SUITE_ARGS[suite]) for seed in range(5)]
+    assert ours == theirs
+    assert all(report["passed"] for report in ours)
+
+
+def _assert_valid_as_built(fl) -> None:
+    """validate accepts fl as it is, with no warning; every field is a
+    tuple and every entry a plain int."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate(fl) is fl
+    assert all(type(field) is tuple for field in (fl.linking, fl.charges, fl.roles, fl.names))
+    assert all(type(row) is tuple for row in fl.linking)
+    assert all(type(e) is int for row in fl.linking for e in row)
+    assert all(type(q) is int for q in fl.charges)
+
+
+def test_generated_links_pass_validate_unchanged():
+    rng = checks._Rng(11)
+    for _ in range(500):
+        _assert_valid_as_built(checks.random_link(rng))
+        _assert_valid_as_built(checks.random_link(rng, max_components=6, charge_bound=40))
+        _assert_valid_as_built(checks.random_presentation(rng))
+        _assert_valid_as_built(checks.random_presentation(rng, max_surgery=5, entry_bound=9))
+        fl, linkings = checks._observed_with_pairing(rng, rng.randint(-20, 20), 7)
+        _assert_valid_as_built(fl)
+        assert fl.charges[0] == 1 and all(type(x) is int for x in linkings)
+
+
+def test_links_the_suites_build_pass_validate_unchanged(monkeypatch):
+    """Every link the suites hand to an evaluator or a builder: the
+    shifted periodicity links, the Kirby-moved presentations and the
+    observed blocks of both manifold families."""
+    seen = []
+
+    def recording(func, pick):
+        def wrapper(*args, **kwargs):
+            seen.append(pick(args))
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(checks, "s3_expectation", recording(checks.s3_expectation, lambda a: a[0]))
+    monkeypatch.setattr(checks, "surgery_expectation", recording(checks.surgery_expectation, lambda a: a[0].link))
+    monkeypatch.setattr(checks, "s1xs2_presentation", recording(checks.s1xs2_presentation, lambda a: a[0]))
+    monkeypatch.setattr(checks, "t3_presentation", recording(checks.t3_presentation, lambda a: a[0]))
+    for seed in range(3):
+        for k in (None, 2, -3):
+            checks.suite_periodicity(100, seed, k)
+            checks.suite_kirby(60, seed, k)
+            checks.suite_manifolds(60, seed, k)
+    assert len(seen) >= 2000
+    for fl in seen:
+        _assert_valid_as_built(fl)
+
+
+# (undefined, zero, skipped) of check --suite homology --seed S at 100
+# trials: edits to the elimination must leave every count as it is.
+HOMOLOGY_COUNTS = {
+    0: (9, 11, 21), 1: (13, 7, 22), 2: (17, 9, 16), 3: (9, 14, 23), 4: (14, 4, 21),
+    5: (13, 7, 18), 6: (11, 4, 25), 7: (10, 7, 21), 8: (6, 8, 18), 9: (11, 4, 21),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HOMOLOGY_COUNTS))
+def test_homology_suite_keeps_its_counts(capsys, seed):
+    code = run(["check", "--suite", "homology", "--seed", str(seed)])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["passed"]) == (0, True)
+    assert (report["undefined"], report["zero"], report["skipped"]) == HOMOLOGY_COUNTS[seed]

@@ -465,3 +465,55 @@ def test_satellite_expansion_is_limited(tmp_path, capsys):
         assert time.perf_counter() - start < 1
         assert (code, out, err["error"]) == (2, None, "InputError")
         assert err["message"].startswith("charges:")
+
+
+def test_suites_that_read_coordinates_limit_k(monkeypatch, capsys):
+    from acsl import checks
+    from acsl.cli import HOMOLOGY_K_LIMIT, K_LIMIT
+
+    assert HOMOLOGY_K_LIMIT == 20_000
+    over = [("oracle", 10**9), ("oracle", -K_LIMIT - 1), ("homology", HOMOLOGY_K_LIMIT + 1), ("homology", -10**9)]
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "random_presentation", None)  # no trial may run
+        for suite, k in over:
+            start = time.perf_counter()
+            code, out, err = run_json(capsys, ["check", "--suite", suite, "--trials", "20", "--k", str(k)])
+            assert time.perf_counter() - start < 1, (suite, k)
+            assert (code, out, err["error"]) == (2, None, "InputError"), (suite, k)
+            assert err["message"] == f"k: |k| = {abs(k)} exceeds the {suite} suite's limit of " + (
+                f"{K_LIMIT}" if suite == "oracle" else f"{HOMOLOGY_K_LIMIT}"
+            )
+    unlimited = [["--suite", s, "--trials", "3", "--k", "-1000000000"] for s in ("periodicity", "satellite", "kirby", "manifolds")]
+    for argv in (
+        ["--suite", "homology", "--trials", "5", "--k", str(-HOMOLOGY_K_LIMIT)],
+        ["--suite", "oracle", "--trials", "2", "--max-terms", "10", "--k", str(K_LIMIT)],
+        *unlimited,
+    ):
+        code, out, _ = run_json(capsys, ["check", *argv])
+        assert (code, out["passed"]) == (0, True), argv
+
+
+def test_surgery_component_count_is_limited(tmp_path, monkeypatch, capsys):
+    import acsl.surgery
+    from acsl.cli import SURGERY_LIMIT
+
+    assert SURGERY_LIMIT == 120
+    rng = random.Random(5)
+
+    def dense(s):
+        n = s + 1
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        return {"linking": rows, "charges": [0] * s + [1], "roles": ["surgery"] * s + ["observed"]}
+
+    path = write(tmp_path, "at_limit.json", dense(SURGERY_LIMIT))
+    code, out, err = run_json(capsys, ["surgery", "--input", path, "--k", "2"])
+    assert code == 0 and out["order"] == 8 or code == 3 and err["error"] == "DenominatorZero"
+    monkeypatch.setattr(acsl.surgery, "_smith_mod", None)  # refused before elimination
+    for s in (SURGERY_LIMIT + 1, 1000):
+        path = write(tmp_path, "over_limit.json", dense(s))
+        code, out, err = run_json(capsys, ["surgery", "--input", path, "--k", "2"])
+        assert (code, out, err["error"]) == (2, None, "InputError")
+        assert err["message"] == f"roles: {s} surgery components exceed the limit of {SURGERY_LIMIT}"
