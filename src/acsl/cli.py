@@ -224,22 +224,32 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands and their help lines, in the order the usage lists them.
+COMMANDS = {
+    "s3": "expectation value of an observed link in S^3",
+    "surgery": "expectation value in a surgery-presented 3-manifold",
+    "s1xs2": "closed form for S^1 x S^2 from homology data",
+    "s1xsigma": "closed form for S^1 x Sigma_g from homology data",
+    "satellite": "expand a link to unit charges",
+    "check": "run a randomized property suite",
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The acsl parser, with only ``command``'s subparser if it names one.
+
+    Anything else (None, a flag, an unknown name) builds all six, so the
+    top-level help, usage and errors still list every subcommand.
+    """
     parser = _Parser(
         prog="acsl",
         description="Exact Abelian Chern-Simons link invariants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("s3", "expectation value of an observed link in S^3"),
-        ("surgery", "expectation value in a surgery-presented 3-manifold"),
-        ("s1xs2", "closed form for S^1 x S^2 from homology data"),
-        ("s1xsigma", "closed form for S^1 x Sigma_g from homology data"),
-        ("satellite", "expand a link to unit charges"),
-        ("check", "run a randomized property suite"),
-    ]:
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--input", metavar="PATH", help="JSON input file")
+    for name in [command] if command in COMMANDS else COMMANDS:
+        cmd = sub.add_parser(name, help=COMMANDS[name])
+        if name != "check":
+            cmd.add_argument("--input", metavar="PATH", help="JSON input file")
         cmd.add_argument("--k", type=int, default=None, help="coupling (nonzero integer)")
         if name == "check":
             cmd.add_argument("--suite", metavar="NAME", required=True,
@@ -259,7 +269,7 @@ def run(argv) -> int:
     package's public names, which is where perfbench/tracing.py wraps them.
     """
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if args.command == "check":
             from .checks import SUITES
 

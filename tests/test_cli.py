@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import cmath
+import contextlib
+import io
 import json
 import os
 import random
@@ -18,6 +21,9 @@ import pytest
 import acsl
 from acsl import CycNum, FramedLink, SurgeryPresentation, blow_up, handle_slide, s3_expectation
 from acsl.cli import (
+    COMMANDS,
+    InputError,
+    build_parser,
     cyc_to_json,
     invariant_to_json,
     link_from_object,
@@ -203,6 +209,7 @@ def test_unknown_suite_is_input_error(capsys):
         ([], "the following arguments are required: command"),
         (["knot"], "argument command: invalid choice: 'knot'"),
         (["s3", "--input", "x.json", "--k", "1", "--colour", "2"], "unrecognized arguments: --colour 2"),
+        (["check", "--suite", "kirby", "--input", "x.json"], "unrecognized arguments: --input x.json"),
     ],
 )
 def test_argparse_errors_are_input_errors(capsys, argv, message):
@@ -210,6 +217,72 @@ def test_argparse_errors_are_input_errors(capsys, argv, message):
     assert code == 2 and out is None
     assert err["error"] == "InputError"
     assert err["message"].startswith(message)
+
+
+# Tokens for random argv: every subcommand and flag, abbreviations (some
+# ambiguous), inline values, help, separators, integers and garbage.
+ARGV_TOKENS = [
+    *COMMANDS, "--input", "--inp", "--i", "--input=x.json", "--k", "--k=3", "-k",
+    "--suite", "--su", "--s", "--se", "--seed", "--trials", "--tri", "--t",
+    "--max-terms", "--max", "--m", "--max-terms=9", "-h", "--help", "--he", "--",
+    "-", "---", "", "=", "0", "1", "-2", "17", "3.5", "x.json", "kirby", "oracle",
+    "bogus", "--colour",
+]
+
+
+def parse_outcome(parser, argv):
+    """The Namespace, the InputError message, or the exit code and what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return "parsed", vars(parser.parse_args(argv))
+    except InputError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+def test_named_parser_parses_like_the_full_parser():
+    rng = random.Random(11)
+    starts = {"named": 0, "other": 0}
+    for _ in range(2000):
+        argv = [rng.choice(ARGV_TOKENS) for _ in range(rng.randrange(7))]
+        if argv and rng.random() < 0.7:
+            argv[0] = rng.choice(list(COMMANDS))
+        starts["named" if argv and argv[0] in COMMANDS else "other"] += 1
+        assert parse_outcome(build_parser(argv[0] if argv else None), argv) == parse_outcome(
+            build_parser(), argv
+        ), argv
+    assert min(starts.values()) >= 500
+
+
+def test_run_builds_only_the_named_subparser(tmp_path, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    path = write(tmp_path, "mer.json", {**MERIDIAN, "charges": [2, 0]})
+    for argv, code, count in [
+        (["surgery", "--input", path, "--k", "2"], 0, 1),
+        (["check", "--suite", "periodicity", "--trials", "2", "--k", "1"], 0, 1),
+        ([], 2, 6),
+        (["bogus"], 2, 6),
+        (["--", "s3"], 2, 6),
+        (["--help"], None, 6),
+    ]:
+        built.clear()
+        if code is None:
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 0
+        else:
+            assert run(argv) == code, argv
+        capsys.readouterr()
+        assert len(built) == count, argv
 
 
 def test_max_terms_below_one_is_input_error(capsys):
