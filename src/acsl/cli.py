@@ -235,31 +235,41 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The acsl parser, with only ``command``'s subparser if it names one.
-
-    Anything else (None, a flag, an unknown name) builds all six, so the
-    top-level help, usage and errors still list every subcommand.
-    """
-    parser = _Parser(
-        prog="acsl",
-        description="Exact Abelian Chern-Simons link invariants.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        cmd = sub.add_parser(name, help=COMMANDS[name])
-        if name != "check":
-            cmd.add_argument("--input", metavar="PATH", help="JSON input file")
-        cmd.add_argument("--k", type=int, default=None, help="coupling (nonzero integer)")
-        if name == "check":
-            cmd.add_argument("--suite", metavar="NAME", required=True,
-                             help="property suite to run (listed in the README)")
-            cmd.add_argument("--trials", type=int, default=100)
-            cmd.add_argument("--seed", type=int, default=0)
-            cmd.add_argument("--max-terms", type=int, default=None,
-                             help="enumeration term cap of the oracle and homology "
-                                  "suites (default: the suite's own)")
+def _add_options(parser, name):
+    """Give ``parser`` the options of subcommand ``name``; returns it."""
+    if name != "check":
+        parser.add_argument("--input", metavar="PATH", help="JSON input file")
+    parser.add_argument("--k", type=int, default=None, help="coupling (nonzero integer)")
+    if name == "check":
+        parser.add_argument("--suite", metavar="NAME", required=True,
+                            help="property suite to run (listed in the README)")
+        parser.add_argument("--trials", type=int, default=100)
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--max-terms", type=int, default=None,
+                            help="enumeration term cap of the oracle and homology "
+                                 "suites (default: the suite's own)")
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full acsl parser, with all six subcommands."""
+    parser = _Parser(prog="acsl", description="Exact Abelian Chern-Simons link invariants.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, line in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=line), name)
+    return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of the
+    subcommand ``argv[0]`` names; anything else (no arguments, a flag, an
+    unknown name, ``--``) gets the full parser and its top-level text.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args = _add_options(_Parser(prog=f"acsl {argv[0]}"), argv[0]).parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def run(argv) -> int:
@@ -269,7 +279,7 @@ def run(argv) -> int:
     package's public names, which is where perfbench/tracing.py wraps them.
     """
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = parse_args(argv)
         if args.command == "check":
             from .checks import SUITES
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from ._record import Record
 from .invariants import CouplingLevel, Invariant
 from .linkdiagram import FramedLink, validate
-from .surgery import SurgeryPresentation
 
 
 class HomologyData(Record):
@@ -69,6 +68,8 @@ def _extended(observed: FramedLink, columns, framings) -> FramedLink:
 def s1xs2_presentation(observed: FramedLink, core_linkings, k) -> SurgeryPresentation:
     """Surgery presentation of S^1 x S^2: a 0-framed unknot whose core
     links observed component i core_linkings[i] times."""
+    from .surgery import SurgeryPresentation
+
     core_linkings = tuple(core_linkings)
     if len(core_linkings) != observed.n:
         raise ValueError(
@@ -84,6 +85,8 @@ def t3_presentation(observed: FramedLink, linkings, k) -> SurgeryPresentation:
     """Surgery presentation of the 3-torus: three 0-framed components
     with zero mutual linking; linkings[i] gives observed component i's
     linking numbers with the three of them."""
+    from .surgery import SurgeryPresentation
+
     rows = [tuple(row) for row in linkings]
     if len(rows) != observed.n:
         raise ValueError(f"linkings has {len(rows)} rows, expected {observed.n}")

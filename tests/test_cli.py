@@ -29,6 +29,7 @@ from acsl.cli import (
     link_from_object,
     link_to_json,
     load_link_json,
+    parse_args,
     run,
 )
 
@@ -230,12 +231,12 @@ ARGV_TOKENS = [
 ]
 
 
-def parse_outcome(parser, argv):
+def parse_outcome(parse, argv):
     """The Namespace, the InputError message, or the exit code and what was printed."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return "parsed", vars(parser.parse_args(argv))
+            return "parsed", vars(parse(argv))
     except InputError as exc:
         return "error", str(exc)
     except SystemExit as exc:
@@ -250,29 +251,33 @@ def test_named_parser_parses_like_the_full_parser():
         if argv and rng.random() < 0.7:
             argv[0] = rng.choice(list(COMMANDS))
         starts["named" if argv and argv[0] in COMMANDS else "other"] += 1
-        assert parse_outcome(build_parser(argv[0] if argv else None), argv) == parse_outcome(
-            build_parser(), argv
-        ), argv
+        assert parse_outcome(parse_args, argv) == parse_outcome(build_parser().parse_args, argv), argv
     assert min(starts.values()) >= 500
 
 
 def test_run_builds_only_the_named_subparser(tmp_path, capsys, monkeypatch):
     built = []
+    init = argparse.ArgumentParser.__init__
     add_parser = argparse._SubParsersAction.add_parser
 
+    def counting_init(self, *args, **kwargs):
+        built.append("parser")
+        init(self, *args, **kwargs)
+
     def counting(self, name, **kwargs):
-        built.append(name)
+        built.append("add_parser")
         return add_parser(self, name, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
     path = write(tmp_path, "mer.json", {**MERIDIAN, "charges": [2, 0]})
-    for argv, code, count in [
-        (["surgery", "--input", path, "--k", "2"], 0, 1),
-        (["check", "--suite", "periodicity", "--trials", "2", "--k", "1"], 0, 1),
-        ([], 2, 6),
-        (["bogus"], 2, 6),
-        (["--", "s3"], 2, 6),
-        (["--help"], None, 6),
+    for argv, code, parsers, added in [
+        (["surgery", "--input", path, "--k", "2"], 0, 1, 0),
+        (["check", "--suite", "periodicity", "--trials", "2", "--k", "1"], 0, 1, 0),
+        ([], 2, 7, 6),
+        (["bogus"], 2, 7, 6),
+        (["--", "s3"], 2, 7, 6),
+        (["--help"], None, 7, 6),
     ]:
         built.clear()
         if code is None:
@@ -282,7 +287,7 @@ def test_run_builds_only_the_named_subparser(tmp_path, capsys, monkeypatch):
         else:
             assert run(argv) == code, argv
         capsys.readouterr()
-        assert len(built) == count, argv
+        assert (built.count("parser"), built.count("add_parser")) == (parsers, added), argv
 
 
 def test_max_terms_below_one_is_input_error(capsys):
@@ -470,10 +475,14 @@ def test_one_shot_commands_load_only_what_they_use(tmp_path):
         loaded = _modules_loaded([command, "--input", path, "--k", "50"])
         assert loaded.isdisjoint({"acsl.surgery", "acsl.manifolds", "acsl.checks"}), command
         assert loaded.isdisjoint(HEAVY_STDLIB), command
-    path = write(tmp_path, "h.json", {"genus": 0, "N": [4], "q_self": 3})
-    loaded = _modules_loaded(["s1xs2", "--input", path, "--k", "2"])
-    assert "acsl.checks" not in loaded
-    assert loaded.isdisjoint(HEAVY_STDLIB)
+    for command, homology in [
+        ("s1xs2", {"genus": 0, "N": [4], "q_self": 3}),
+        ("s1xsigma", {"genus": 1, "N": [4, 0, 0], "q_self": 3}),
+    ]:
+        path = write(tmp_path, f"{command}.json", homology)
+        loaded = _modules_loaded([command, "--input", path, "--k", "2"])
+        assert loaded.isdisjoint({"acsl.surgery", "acsl.checks"}), command
+        assert loaded.isdisjoint(HEAVY_STDLIB), command
     path = write(tmp_path, "meridian.json", MERIDIAN)
     assert _modules_loaded(["surgery", "--input", path, "--k", "2"]).isdisjoint(HEAVY_STDLIB)
     check = ["check", "--suite", "kirby", "--trials", "2", "--k", "1"]
