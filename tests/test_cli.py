@@ -579,7 +579,7 @@ def test_surgery_component_count_is_limited(tmp_path, monkeypatch, capsys):
     import acsl.surgery
     from acsl.cli import SURGERY_LIMIT
 
-    assert SURGERY_LIMIT == 120
+    assert SURGERY_LIMIT == 150
     rng = random.Random(5)
 
     def dense(s):
@@ -599,3 +599,105 @@ def test_surgery_component_count_is_limited(tmp_path, monkeypatch, capsys):
         code, out, err = run_json(capsys, ["surgery", "--input", path, "--k", "2"])
         assert (code, out, err["error"]) == (2, None, "InputError")
         assert err["message"] == f"roles: {s} surgery components exceed the limit of {SURGERY_LIMIT}"
+
+
+def _node_paths(obj, path=()):
+    """Paths (key and index tuples) to every value inside a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _node_paths(value, path + (key,))
+
+
+def _mutate(rng, obj):
+    """One random corruption of a JSON input object, in place."""
+    kind = rng.choice(["drop", "type", "ragged", "role", "pd"])
+    if kind == "drop":
+        del obj[rng.choice(sorted(obj))]
+    elif kind == "type":
+        *parents, last = rng.choice(list(_node_paths(obj)))
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = rng.choice([None, True, False, 1.5, "7", {}, {"a": 1}])
+    elif kind == "ragged":
+        rows = obj.get("linking", obj.get("components"))
+        rows = [row for row in rows if isinstance(row, list)] if isinstance(rows, list) else []
+        if rows:
+            row = rng.choice(rows)
+            if rng.random() < 0.5 or len(row) < 2:
+                row.append(1)
+            else:
+                row.pop()
+    elif kind == "role" and "genus" not in obj:
+        roles = obj.get("roles")
+        if not isinstance(roles, list) or not roles:
+            roles = obj["roles"] = ["observed", "observed"]
+        roles[rng.randrange(len(roles))] = rng.choice(["surgery", "spectator", "Surgery", "", "observed "])
+    elif kind == "pd" and isinstance(obj.get("pd"), str):
+        terms = obj["pd"].split(" ")
+        i = rng.randrange(len(terms))
+        terms[i] = rng.choice([
+            terms[i].replace("X", "Y"),
+            terms[i][:-3] + ")",
+            terms[i].replace("1", "9"),
+            terms[i].replace("(", "(-"),
+            terms[i] + "(",
+            "",
+        ])
+        obj["pd"] = " ".join(terms)
+
+
+def test_mutated_inputs_end_in_a_documented_way(tmp_path, capsys):
+    """Seeded fuzz through run: 600 corruptions of valid matrix, PD and
+    homology inputs.  Each answers (exit 0, one JSON object on stdout),
+    is undefined (exit 3, one DenominatorZero line on stderr) or is
+    refused (exit 2, one InputError or SurgeryComponentError line on
+    stderr); no exception escapes."""
+    hopf_pd = {"pd": "X(4,1,3,2) X(1,4,2,3)", "components": [[1, 2], [3, 4]], "framings": [0, 1]}
+    bases = [
+        ("s3", {"linking": [[0, 1, 2], [1, 2, -1], [2, -1, 1]], "charges": [1, -1, 2], "k": 3}),
+        ("s3", {**hopf_pd, "charges": [1, 2]}),
+        ("s3", MERIDIAN),  # a surgery presentation, which s3 refuses
+        ("surgery", {"linking": [[1, 2, 0], [2, -2, 1], [0, 1, 3]], "charges": [1, 0, 0],
+                     "roles": ["observed", "surgery", "surgery"], "names": ["a", "b", "c"]}),
+        ("surgery", {"linking": [[2, 1], [1, 0]], "charges": [0, 1], "roles": ["surgery", "observed"]}),
+        ("surgery", {**hopf_pd, "charges": [1, 0], "roles": ["observed", "surgery"]}),
+        ("satellite", {"linking": [[0, 1], [1, -1]], "charges": [2, -3], "k": 2}),
+        ("satellite", {**hopf_pd, "charges": [2, 0], "roles": ["observed", "surgery"]}),
+        ("s1xs2", {"genus": 0, "N": [4], "q_self": 3}),
+        ("s1xsigma", {"genus": 1, "N": [4, 0, -2], "q_self": 3, "k": -2}),
+    ]
+    rng = random.Random(2026)
+    seen = {0: 0, 2: 0, 3: 0}
+    errors = set()
+    start = time.perf_counter()
+    for case in range(600):
+        name, base = rng.choice(bases)
+        obj = json.loads(json.dumps(base))
+        for _ in range(rng.randint(0, 2)):
+            if obj:
+                _mutate(rng, obj)
+        argv = [name, "--input", write(tmp_path, "case.json", obj)]
+        k = rng.choice([None, 1, -1, 2, 5, 0, 10**6])
+        if k is not None:
+            argv += ["--k", str(k)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run(argv)
+        out, err = capsys.readouterr()
+        context = (case, argv[0], argv[3:], obj)
+        if code == 0:
+            assert err == "" and out.count("\n") == 1, context
+            assert json.loads(out)["command"] == name, context
+        else:
+            assert out == "" and err.count("\n") == 1, context
+            error = json.loads(err)["error"]
+            if code == 3:
+                assert (name, error) == ("surgery", "DenominatorZero"), context
+            else:
+                assert code == 2 and error in ("InputError", "SurgeryComponentError"), context
+            errors.add(error)
+        seen[code] += 1
+    assert min(seen.values()) > 0 and len(errors) == 3, (seen, errors)
+    assert time.perf_counter() - start < 3

@@ -324,13 +324,25 @@ def test_smith_mod_diagonalises():
         cases.append(([[rng.randint(-40, 40) for _ in range(s)] for _ in range(s)], rng.randint(2, 30)))
     for a, m in cases:
         s = len(a)
-        u, d, v = _smith_mod(a, m)
+        b = [rng.randint(-100, 100) for _ in range(s)]
+        work = _smith_mod(a, b, m)
+        diagonal = [[work[i][i] if i == j else 0 for j in range(s)] for i in range(s)]
+        assert [row[:s] for row in work[:s]] == diagonal
+        assert [row[s] for row in work[s:]] == [0] * s
+        v = [row[:s] for row in work[s:]]
+        # The elimination never reads the carried column, so carrying each
+        # unit vector e_c gives the same diagonal and V, and column c of U.
+        runs = [_smith_mod(a, [int(r == c) for r in range(s)], m) for c in range(s)]
+        for run in runs:
+            assert [row[:s] for row in run] == [row[:s] for row in work]
+        u = [[run[i][s] for run in runs] for i in range(s)]
         product = [
             [sum(u[i][r] * a[r][c] * v[c][j] for r in range(s) for c in range(s)) % m for j in range(s)]
             for i in range(s)
         ]
-        assert product == [[d[i] if i == j else 0 for j in range(s)] for i in range(s)]
+        assert product == diagonal
         assert _det_mod(u, m) == 1 % m and _det_mod(v, m) == 1 % m
+        assert [row[s] for row in work[:s]] == [sum(x * y for x, y in zip(row, b)) % m for row in u]
 
 
 def test_homology_suite_reaches_every_outcome():
