@@ -78,19 +78,13 @@ def random_link(
     max_components: int = 4,
     entry_bound: int = 3,
     charge_bound: int = 6,
-    roles=None,
 ) -> FramedLink:
-    """Random symmetric integer linking data with charges; valid by
-    construction unless roles are given, which are validated."""
+    """Random observed link: symmetric integer linking data with
+    charges, valid by construction."""
     n = rng.randint(1, max_components)
     matrix = _symmetric(rng, n, entry_bound)
-    charges = [rng.randint(-charge_bound, charge_bound) for _ in range(n)]
-    if roles is None:
-        return FramedLink(matrix, tuple(charges), (OBSERVED,) * n, default_names(n))
-    for i, role in enumerate(roles):
-        if role == SURGERY:
-            charges[i] = 0
-    return FramedLink.make(matrix, charges=charges, roles=roles)
+    charges = tuple([rng.randint(-charge_bound, charge_bound) for _ in range(n)])
+    return FramedLink(matrix, charges, (OBSERVED,) * n, default_names(n))
 
 
 def random_presentation(

@@ -90,16 +90,21 @@ class Invariant(Record):
         return self.value.embed()
 
 
+def form_value(matrix, v) -> int:
+    """The integer v.Mv of a square matrix M, skipping the zeros of v."""
+    total = 0
+    for vi, row in zip(v, matrix):
+        if vi:
+            total += vi * sum(map(mul, row, v))
+    return total
+
+
 def quadratic_form(fl: FramedLink, role: str | None = None) -> int:
     """q . L q, with charges of components outside the role filter zeroed."""
     charges = fl.charges
     if role is not None:
         charges = [q if r == role else 0 for q, r in zip(charges, fl.roles)]
-    total = 0
-    for qi, row in zip(charges, fl.linking):
-        if qi:
-            total += qi * sum(map(mul, row, charges))
-    return total
+    return form_value(fl.linking, charges)
 
 
 def s3_expectation(fl: FramedLink, k) -> Invariant:

@@ -159,28 +159,32 @@ def validate(fl: FramedLink) -> FramedLink:
     and charges in a symmetric tuple of tuples (a tuple of rows equal to
     its transpose is square).  Only when one fails do the per-entry
     loops run, to name the first offending entry, or to accept the int
-    subclasses the passes leave out.
+    subclasses the passes leave out.  They check entry types first, then
+    sizes, then symmetry.
     """
     rows, charges, roles = fl.linking, fl.charges, fl.roles
     n = len(rows)
-    if not (len(charges) == len(roles) == len(fl.names) == n):
-        raise DiagramError("charges, roles and names must match the matrix size")
-    if not (_INT.issuperset(map(type, chain(charges, *rows))) and tuple(zip(*rows)) == rows):
+    sized = len(charges) == len(roles) == len(fl.names) == n
+    if not (sized and _INT.issuperset(map(type, chain(charges, *rows))) and tuple(zip(*rows)) == rows):
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                if not isinstance(entry, int) or isinstance(entry, bool):
+                    raise DiagramError(f"linking[{i}][{j}] is not an integer: {entry!r}")
+        for i, q in enumerate(charges):
+            if not isinstance(q, int) or isinstance(q, bool):
+                raise DiagramError(f"charges[{i}] is not an integer: {q!r}")
+        if not sized:
+            raise DiagramError("charges, roles and names must match the matrix size")
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise DiagramError(f"linking[{i}] has length {len(row)}, expected {n}")
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise DiagramError(f"linking[{i}][{j}] is not an integer: {entry!r}")
                 if rows[j][i] != entry:
                     raise DiagramError(
                         f"linking matrix is not symmetric at ({i},{j}): "
                         f"{entry} vs {rows[j][i]}"
                     )
-        for i, q in enumerate(charges):
-            if not isinstance(q, int) or isinstance(q, bool):
-                raise DiagramError(f"charges[{i}] is not an integer: {q!r}")
     # Counted rather than put in a set: roles read from JSON may be unhashable.
     if roles.count(SURGERY) or roles.count(OBSERVED) != n:
         for i, role in enumerate(roles):
@@ -385,39 +389,30 @@ def linking_matrix(d: Diagram, framings) -> FramedLink:
     """
     analysis = _analyze(d)
     n = d.n_components
-    entries = [[0] * n for _ in range(n)]
+    # Each sign is added twice, so halving leaves the writhe on the
+    # diagonal and half the signed count off it, which is even because
+    # _analyze admits only even crossing counts between two components.
+    matrix = [[0] * n for _ in range(n)]
     for x, sign in zip(d.crossings, analysis.signs):
         cu = analysis.component_of[x[0]]
         co = analysis.component_of[x[1]]
-        entries[cu][co] += sign
-        if cu != co:
-            entries[co][cu] += sign
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if entries[i][j] % 2:
-                raise DiagramError(
-                    f"odd signed crossing sum between components {i} and {j}"
-                )
-            matrix[i][j] = entries[i][j] // 2
+        matrix[cu][co] += sign
+        matrix[co][cu] += sign
+    matrix = [[entry // 2 for entry in row] for row in matrix]
     if isinstance(framings, str):
         if framings != "blackboard":
             raise DiagramError(f"unknown framing mode {framings!r}")
-        for j in range(n):
-            matrix[j][j] = entries[j][j]  # writhe of component j
     else:
         framings = list(framings)
         if len(framings) != n:
             raise DiagramError(
-                f"framing vector has length {len(framings)}, expected {n}"
+                f"framings: framing vector has length {len(framings)}, expected {n}"
             )
         for j, f in enumerate(framings):
             if not isinstance(f, int) or isinstance(f, bool):
                 raise DiagramError(f"framings[{j}] is not an integer: {f!r}")
             matrix[j][j] = f
-    return FramedLink.make(matrix)
+    return FramedLink(tuple(map(tuple, matrix)), (0,) * n, (OBSERVED,) * n, default_names(n))
 
 
 def mirror_diagram(d: Diagram) -> Diagram:

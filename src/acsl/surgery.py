@@ -41,8 +41,8 @@ import math
 from operator import mul
 
 from ._record import Record
-from .cyclotomic import CycNum, root_power
-from .invariants import CouplingLevel, Invariant
+from .cyclotomic import CycNum
+from .invariants import CouplingLevel, Invariant, form_value
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
 
@@ -192,13 +192,7 @@ def gauss_sum(
         for q, r in zip(fl.charges, fl.roles)
     ]
 
-    constant = 0
-    for i, qi in enumerate(charges):
-        if qi:
-            constant += qi * sum(
-                fl.linking[i][j] * qj for j, qj in enumerate(charges)
-            )
-    value = root_power(n, (-level.sign * constant) % n)
+    value = Invariant.from_quadratic(level, form_value(fl.linking, charges)).value
 
     for group in groups:
         block = [[fl.linking[i][j] for j in group] for i in group]
@@ -282,11 +276,6 @@ def _smith_mod(a, b, m: int) -> list[list[int]]:
     return work
 
 
-def _form(a, y) -> int:
-    """The integer y.Ay."""
-    return sum([yi * sum(map(mul, row, y)) for yi, row in zip(y, a)])
-
-
 def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     """Exact expectation value in the presented 3-manifold.
 
@@ -297,9 +286,9 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     image of the surgery block mod 2|k|, and a phase otherwise.
     """
     fl = p.link
-    k = p.level.k
-    m = 2 * abs(k)
-    n = 2 * m
+    level = p.level
+    m = level.colour_modulus
+    n = level.root_order
     surgery = fl.surgery()
     charges = [q if r == OBSERVED else 0 for q, r in zip(fl.charges, fl.roles)]
     rows = [fl.linking[i] for i in surgery]
@@ -312,9 +301,9 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
         if step == m:  # unit invariant factor: the kernel column is 0 mod m
             continue
         y = [row[i] * step % m for row in v]
-        if _form(a, y) % n:
+        if form_value(a, y) % n:
             raise DenominatorZero(
-                f"normalizing Gauss sum vanishes at k={k}: the kernel "
+                f"normalizing Gauss sum vanishes at k={level.k}: the kernel "
                 f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}",
                 tuple(y),
             )
@@ -327,8 +316,7 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
         if target:
             z = target // g * pow(work[i][i] // g, -1, step) % step
             x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
-    phase = _form(fl.linking, charges) - _form(a, x)
-    return Invariant(n, -phase if k > 0 else phase)
+    return Invariant.from_quadratic(level, form_value(fl.linking, charges) - form_value(a, x))
 
 
 def blow_up(p: SurgeryPresentation, sign: int) -> SurgeryPresentation:

@@ -22,6 +22,7 @@ import acsl
 from acsl import CycNum, FramedLink, SurgeryPresentation, blow_up, handle_slide, s3_expectation
 from acsl.cli import (
     COMMANDS,
+    MAX_TERMS_LIMIT,
     InputError,
     build_parser,
     cyc_to_json,
@@ -298,6 +299,28 @@ def test_max_terms_below_one_is_input_error(capsys):
     assert err["message"].startswith("max_terms:")
 
 
+@pytest.mark.parametrize("max_terms", [MAX_TERMS_LIMIT + 1, 10**12])
+def test_max_terms_above_the_limit_is_input_error(capsys, max_terms):
+    start = time.perf_counter()
+    code, out, err = run_json(
+        capsys, ["check", "--suite", "homology", "--k", "20000", "--trials", "2", "--max-terms", str(max_terms)]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out is None
+    assert err["error"] == "InputError"
+    assert err["message"].startswith("max_terms:")
+
+
+def test_max_terms_limit_is_the_library_default():
+    import inspect
+
+    from acsl import gauss_sum, oracle_sums
+
+    assert MAX_TERMS_LIMIT == 10**6
+    for function in (gauss_sum, oracle_sums):
+        assert inspect.signature(function).parameters["max_terms"].default == MAX_TERMS_LIMIT
+
+
 @pytest.mark.parametrize("suite", ["periodicity", "satellite", "kirby", "manifolds"])
 def test_max_terms_is_input_error_where_nothing_is_enumerated(capsys, suite):
     code, out, err = run_json(
@@ -319,17 +342,23 @@ def test_cli_output_is_deterministic(tmp_path, capsys):
 
 
 def test_schema_errors_name_the_field(tmp_path, capsys):
-    path = write(tmp_path, "bad.json", {"linking": [[0, "x"], [1, 0]]})
-    code, _, err = run_json(capsys, ["s3", "--input", path, "--k", "1"])
-    assert code == 2
-    assert "linking[0][1]" in err["message"]
-    path2 = write(tmp_path, "bad2.json", {"charges": [1]})
-    code, _, err = run_json(capsys, ["s3", "--input", path2, "--k", "1"])
-    assert code == 2
-    path3 = write(tmp_path, "bad3.json", {"linking": [[0, 1], [1, 0]], "charges": [1]})
-    code, _, err = run_json(capsys, ["s3", "--input", path3, "--k", "1"])
-    assert code == 2
-    assert "charges" in err["message"]
+    hopf_pd = {"pd": "X(4,1,3,2) X(1,4,2,3)", "components": [[1, 2], [3, 4]]}
+    cases = [
+        ({"linking": [[0, "x"], [1, 0]]}, "linking[0][1] is not an integer: 'x'"),
+        ({"linking": [[0, 1], [1.0, 0]], "charges": [1, 1]}, "linking[1][0] is not an integer: 1.0"),
+        ({"linking": [[0, 1], [1, 0]], "charges": [1, True]}, "charges[1] is not an integer: True"),
+        ({**hopf_pd, "framings": [0, "1"]}, "framings[1] is not an integer: '1'"),
+        ({**hopf_pd, "framings": [0, 1, 2], "charges": [1, 1]}, "framings: framing vector has length 3, expected 2"),
+        ({"charges": [1]}, "top level: need either 'linking' or 'pd'"),
+        ({"linking": [[0, 1], [1, 0]], "charges": [1]}, "charges, roles and names must match the matrix size"),
+    ]
+    for obj, message in cases:
+        path = write(tmp_path, "bad.json", obj)
+        # A warning raised as an error would escape run: no warning comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_json(capsys, ["s3", "--input", path, "--k", "1"])
+        assert (code, out, err) == (2, None, {"error": "InputError", "message": message})
 
 
 def test_missing_file_and_bad_json(tmp_path, capsys):
@@ -339,6 +368,23 @@ def test_missing_file_and_bad_json(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_json(capsys, ["s3", "--input", str(bad), "--k", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe" + '{"linking": [[0]]}'.encode("utf-16-le"),
+        b"[" * 100_000,
+        b'{"linking": [[' + b"7" * 5000 + b"]]}",
+    ],
+    ids=["utf16-bom", "deep-nesting", "long-integer"],
+)
+def test_undecodable_input_is_input_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_json(capsys, ["s3", "--input", str(bad), "--k", "1"])
+    assert (code, out, err["error"]) == (2, None, "InputError")
+    assert err["message"].startswith(f"{bad} is not valid JSON: ")
 
 
 def test_missing_charges_warns(tmp_path):
