@@ -37,6 +37,10 @@ from .linkdiagram import (
 # coordinates: s3 on the Hopf link writes 1.28 MB at this limit.
 K_LIMIT = 100_000
 
+# Most trials check runs: 10**4 trials of kirby, the slowest suite that
+# walks no colour lattice, take 1.2-1.9 s on a 2-core VM.
+TRIALS_LIMIT = 10**4
+
 # Largest |k| of check --suite homology, whose unskipped trials build
 # coordinates of order 4|k| (100 trials near it: under 1 s on a 2-core VM).
 # The oracle suite shares K_LIMIT; the others read no coordinates.
@@ -47,8 +51,8 @@ HOMOLOGY_K_LIMIT = 20_000
 # trial takes 5.5 s and each exact walk 0.9 s.
 MAX_TERMS_LIMIT = 10**6
 
-# Most surgery components surgery takes: elimination is cubic in them,
-# and 150 dense ones answer in 0.9 s at worst on a 2-core VM.
+# Most surgery components surgery takes: elimination is cubic in them, once
+# per prime of 2|k|; 150 dense ones answer in 0.9 s at worst on a 2-core VM.
 SURGERY_LIMIT = 150
 
 # Largest link satellite writes: the sum of |q| over the observed
@@ -282,8 +286,8 @@ def run(argv) -> int:
 
             if args.suite not in SUITES:
                 raise InputError(f"suite: expected one of {', '.join(SUITES)}, got {args.suite!r}")
-            if args.trials < 1:
-                raise InputError(f"trials: expected a positive integer, got {args.trials}")
+            if not 1 <= args.trials <= TRIALS_LIMIT:
+                raise InputError(f"trials: expected 1 to {TRIALS_LIMIT}, got {args.trials}")
             kwargs = {"trials": args.trials, "seed": args.seed, "k": args.k}
             if args.max_terms is not None:
                 if not 1 <= args.max_terms <= MAX_TERMS_LIMIT:

@@ -18,9 +18,12 @@ m = 2|k| and n = 4|k|:
 * otherwise it is zero unless A x = b (mod m) has a solution x;
 * otherwise it is the phase zeta_n**(-sign(k) (q.Cq - x.Ax)).
 
-Both tests read off one elimination of [[A, b], [I, 0]] modulo m
-(_smith_mod), whose lower block V holds the kernel witnesses as columns,
-so the cost is polynomial in the number of surgery components.
+Both are solved modulo each prime power q of m (_solve_local), a local
+ring, by row operations and back substitution, and the solutions x mod
+q combine by the Chinese remainder theorem.  On the kernel mod m,
+y -> y.Ay/m mod 2 is additive and vanishes on the odd part, so the
+undefined test checks generators of the 2-part kernel alone.  The cost
+is cubic in the number of surgery components per prime of m.
 
 gauss_sum evaluates either sum exactly by walking the colour lattice in
 reflected mixed-radix Gray-code order, updating the quadratic form
@@ -41,7 +44,7 @@ import math
 from operator import mul
 
 from ._record import Record
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _prime_factors
 from .invariants import CouplingLevel, Invariant, form_value
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
@@ -205,75 +208,55 @@ def gauss_sum(
     return GaussSum(value, m ** len(surgery))
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a, b >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+def _back_substitute(rows, pivots, z: list[int], q: int) -> list[int] | None:
+    """Complete z, zero in the pivot columns, to rows.z = 0 (mod q), last
+    pivot first; its extra last coordinate multiplies the carried column.
+    Returns the first s coordinates, or None when there is no solution."""
+    for r, c, g, inv in reversed(pivots):
+        rest = -sum(map(mul, rows[r], z)) % q
+        if rest % g:  # the rest of the row is a multiple of g
+            return None
+        z[c] = rest // g * inv % q
+    return z[:-1]
 
 
-def _clearing_op(pivot: int, entry: int) -> tuple[int, int, int, int]:
-    """Determinant-one (x, y, u, v) sending (pivot, entry) to (g, 0).
+def _solve_local(a, b, p: int, q: int):
+    """Solve a x = b modulo the prime power q = p**e by row operations.
 
-    When the pivot already divides the entry, the pivot line is left
-    as it is (x, y = 1, 0); taking the Bezout pair there would swap
-    equal entries back and forth without end.
-    """
-    if pivot and entry % pivot == 0:
-        return 1, 0, -(entry // pivot), 1
-    g, x, y = _ext_gcd(pivot, entry)
-    return x, y, -(entry // g), pivot // g
-
-
-def _mix_rows(rows: list[list[int]], t: int, i: int, op, m: int) -> None:
-    """Rows t, i := x t + y i, u t + v i (mod m); (x, y) = (1, 0) keeps t."""
-    x, y, u, v = op
-    top, other = rows[t], rows[i]
-    if x != 1 or y:
-        rows[t] = [(x * a + y * b) % m for a, b in zip(top, other)]
-    rows[i] = [(u * a + v * b) % m for a, b in zip(top, other)]
-
-
-def _mix_columns(rows: list[list[int]], t: int, j: int, op, m: int) -> None:
-    x, y, u, v = op
-    if x == 1 and not y:
-        for row in rows:
-            row[j] = (u * row[t] + v * row[j]) % m
-        return
-    for row in rows:
-        a, b = row[t], row[j]
-        row[t] = (x * a + y * b) % m
-        row[j] = (u * a + v * b) % m
-
-
-def _smith_mod(a, b, m: int) -> list[list[int]]:
-    """Diagonalise a square integer matrix a modulo m, carrying b.
-
-    Eliminates on the augmented matrix [[a, b], [I, 0]] and returns it
-    as [[diag(d), U b], [V, 0]] with U.a.V = diag(d) (mod m): row
-    operations act on the top s rows, column operations on the first s
-    columns.  U and V are products of determinant-one operations, so
-    invertible mod m.  Entries stay residues in [0, m), so coefficients
-    never grow.  Each pivot only ever moves to a proper divisor of
-    itself, so the elimination ends.
+    Z/q is a local ring: each step pivots on an entry of least
+    p-valuation, a unit in the first free column that has one, else
+    the least gcd(entry, q) in the remaining block, which divides every
+    entry left in its row and column, and clears its column below in
+    [a | b].  Returns x, or None when there is none, and a lazy kernel:
+    one vector per non-unit pivot (gcd q for an all-zero block), which
+    together generate {z : a z = 0 (mod q)}.
     """
     s = len(a)
-    work = [[entry % m for entry in row] + [bi % m] for row, bi in zip(a, b)]
-    work += [[0] * i + [1] + [0] * (s - i) for i in range(s)]
-    for t in range(s):
-        while True:
-            for i in range(t + 1, s):
-                if work[i][t]:
-                    _mix_rows(work, t, i, _clearing_op(work[t][t], work[i][t]), m)
-            for j in range(t + 1, s):
-                if work[t][j]:
-                    _mix_columns(work, t, j, _clearing_op(work[t][t], work[t][j]), m)
-            if not any(work[i][t] for i in range(t + 1, s)):
+    rows = [[entry % q for entry in row] + [bi % q] for row, bi in zip(a, b)]
+    free_rows, free_cols = list(range(s)), list(range(s))
+    pivots = []
+    while free_cols:
+        g, r, c = next(((1, i, j) for j in free_cols for i in free_rows if rows[i][j] % p), (q, 0, 0))
+        if g > 1:
+            g, r, c = min((math.gcd(rows[i][j], q), i, j) for i in free_rows for j in free_cols)
+            if g == q:
+                pivots += [(i, j, q, 0) for i, j in zip(free_rows, free_cols)]
                 break
-    return work
+        free_rows.remove(r)
+        free_cols.remove(c)
+        top = rows[r]
+        inv = pow(top[c] // g, -1, q // g)
+        for i in free_rows:
+            if rows[i][c]:
+                f = rows[i][c] // g * inv % q
+                rows[i] = [(u - f * v) % q for u, v in zip(rows[i], top)]
+        pivots.append((r, c, g, inv))
+    kernel = (
+        _back_substitute(rows, pivots[:t], [q // g * (j == c) for j in range(s + 1)], q)
+        for t, (_, c, g, _) in enumerate(pivots)
+        if g > 1
+    )
+    return _back_substitute(rows, pivots, [0] * s + [q - 1], q), kernel
 
 
 def surgery_expectation(p: SurgeryPresentation) -> Invariant:
@@ -294,28 +277,25 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     rows = [fl.linking[i] for i in surgery]
     a = [[row[j] for j in surgery] for row in rows]
     b = [sum(map(mul, row, charges)) for row in rows]
-    work = _smith_mod(a, b, m)
-    v = work[len(a):]
-    steps = [m // math.gcd(work[i][i], m) for i in range(len(a))]
-    for i, step in enumerate(steps):
-        if step == m:  # unit invariant factor: the kernel column is 0 mod m
-            continue
-        y = [row[i] * step % m for row in v]
-        if form_value(a, y) % n:
-            raise DenominatorZero(
-                f"normalizing Gauss sum vanishes at k={level.k}: the kernel "
-                f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}",
-                tuple(y),
-            )
-    x = [0] * len(surgery)
-    for i, step in enumerate(steps):
-        g = m // step
-        target = work[i][-1]
-        if target % g:
+    x, modulus = [0] * len(a), 1
+    for prime in _prime_factors(m):  # 2 first: m is even
+        q = math.gcd(m, prime ** m.bit_length())
+        part, kernel = _solve_local(a, b, prime, q)
+        # z lifts to y = (m/q) z with y.Ay = (m/q)**2 z.Az, a multiple of
+        # (m/q) m as q divides z.Az: 0 mod n = 2m unless q is the 2-part.
+        for z in kernel if prime == 2 else ():
+            y = [m // q * zi for zi in z]
+            if form_value(a, y) % n:
+                raise DenominatorZero(
+                    f"normalizing Gauss sum vanishes at k={level.k}: the kernel "
+                    f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}",
+                    tuple(y),
+                )
+        if part is None:
             return Invariant.zero(n)
-        if target:
-            z = target // g * pow(work[i][i] // g, -1, step) % step
-            x = [(xr + row[i] * z) % m for xr, row in zip(x, v)]
+        step = pow(modulus, -1, q)
+        x = [xi + modulus * ((zi - xi) * step % q) for xi, zi in zip(x, part)]
+        modulus *= q
     return Invariant.from_quadratic(level, form_value(fl.linking, charges) - form_value(a, x))
 
 

@@ -23,6 +23,7 @@ from acsl import CycNum, FramedLink, SurgeryPresentation, blow_up, handle_slide,
 from acsl.cli import (
     COMMANDS,
     MAX_TERMS_LIMIT,
+    TRIALS_LIMIT,
     InputError,
     build_parser,
     cyc_to_json,
@@ -309,6 +310,16 @@ def test_max_terms_above_the_limit_is_input_error(capsys, max_terms):
     assert code == 2 and out is None
     assert err["error"] == "InputError"
     assert err["message"].startswith("max_terms:")
+
+
+@pytest.mark.parametrize("suite, trials", [("kirby", TRIALS_LIMIT + 1), ("oracle", 10**9), ("homology", 0)])
+def test_trials_outside_the_limit_is_input_error(capsys, suite, trials):
+    assert TRIALS_LIMIT == 10**4
+    start = time.perf_counter()
+    code, out, err = run_json(capsys, ["check", "--suite", suite, "--trials", str(trials), "--k", "2"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err["error"]) == (2, None, "InputError")
+    assert err["message"] == f"trials: expected 1 to {TRIALS_LIMIT}, got {trials}"
 
 
 def test_max_terms_limit_is_the_library_default():
@@ -639,7 +650,7 @@ def test_surgery_component_count_is_limited(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "at_limit.json", dense(SURGERY_LIMIT))
     code, out, err = run_json(capsys, ["surgery", "--input", path, "--k", "2"])
     assert code == 0 and out["order"] == 8 or code == 3 and err["error"] == "DenominatorZero"
-    monkeypatch.setattr(acsl.surgery, "_smith_mod", None)  # refused before elimination
+    monkeypatch.setattr(acsl.surgery, "_solve_local", None)  # refused before elimination
     for s in (SURGERY_LIMIT + 1, 1000):
         path = write(tmp_path, "over_limit.json", dense(s))
         code, out, err = run_json(capsys, ["surgery", "--input", path, "--k", "2"])

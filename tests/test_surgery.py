@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -28,7 +30,7 @@ from acsl.checks import (
     random_presentation,
     suite_homology,
 )
-from acsl.surgery import NotIsolated, NotSurgery, NotUnitFramed, _smith_mod
+from acsl.surgery import NotIsolated, NotSurgery, NotUnitFramed, _solve_local
 
 
 def presentation(matrix, charges=None, roles=None, k=1) -> SurgeryPresentation:
@@ -283,6 +285,22 @@ def test_oracle_agreement():
         assert abs(exact.numeric - oracle_expectation(p)) < 1e-9
         checked += 1
     assert checked > 20
+    # 2|k| with three or four prime factors: the solutions mod each prime
+    # power combine by the Chinese remainder theorem
+    outcomes = []
+    for k, trials in ((15, 60), (-21, 60), (105, 6)):
+        for _ in range(trials):
+            p = random_surgery(rng, k=k, max_surgery=2)
+            try:
+                exact = surgery_expectation(p)
+            except DenominatorZero:
+                _, den = oracle_sums(p)
+                assert abs(den) < 1e-6
+                outcomes.append("undefined")
+                continue
+            assert abs(exact.numeric - oracle_expectation(p)) < 1e-9
+            outcomes.append("zero" if exact.is_zero else "phase")
+    assert {"undefined", "zero", "phase"} <= set(outcomes)
 
 
 def test_oracle_term_limit():
@@ -306,43 +324,38 @@ def test_gauss_sum_term_limit():
     assert gauss_sum(q, True, max_terms=120).terms == 10**12
 
 
-def _det_mod(matrix, m):
-    """Determinant mod m by cofactor expansion (small matrices only)."""
-    if not matrix:
-        return 1 % m
-    return sum(
-        (-1) ** j * matrix[0][j] * _det_mod([row[:j] + row[j + 1:] for row in matrix[1:]], m)
-        for j in range(len(matrix))
-    ) % m
-
-
-def test_smith_mod_diagonalises():
+def test_solve_local_matches_brute_force():
     rng = random.Random(29)
-    cases = [([[3, 3], [3, 3]], 6), ([[4, 2], [2, 4]], 6), ([], 4), ([[0]], 2)]
-    for _ in range(300):
-        s = rng.randint(1, 5)
-        cases.append(([[rng.randint(-40, 40) for _ in range(s)] for _ in range(s)], rng.randint(2, 30)))
-    for a, m in cases:
-        s = len(a)
-        b = [rng.randint(-100, 100) for _ in range(s)]
-        work = _smith_mod(a, b, m)
-        diagonal = [[work[i][i] if i == j else 0 for j in range(s)] for i in range(s)]
-        assert [row[:s] for row in work[:s]] == diagonal
-        assert [row[s] for row in work[s:]] == [0] * s
-        v = [row[:s] for row in work[s:]]
-        # The elimination never reads the carried column, so carrying each
-        # unit vector e_c gives the same diagonal and V, and column c of U.
-        runs = [_smith_mod(a, [int(r == c) for r in range(s)], m) for c in range(s)]
-        for run in runs:
-            assert [row[:s] for row in run] == [row[:s] for row in work]
-        u = [[run[i][s] for run in runs] for i in range(s)]
-        product = [
-            [sum(u[i][r] * a[r][c] * v[c][j] for r in range(s) for c in range(s)) % m for j in range(s)]
-            for i in range(s)
-        ]
-        assert product == diagonal
-        assert _det_mod(u, m) == 1 % m and _det_mod(v, m) == 1 % m
-        assert [row[s] for row in work[:s]] == [sum(x * y for x, y in zip(row, b)) % m for row in u]
+    for q in (2, 4, 8, 16, 3, 9, 27, 5, 25, 7):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        cases = [([], []), ([[0]], [0]), ([[q]], [1]), ([[0, 0], [0, 0]], [0, p])]
+        for _ in range(12):
+            s = rng.randint(1, 3)
+            a = [[rng.randint(-9, 9) * rng.choice([1, p, p * p]) for _ in range(s)] for _ in range(s)]
+            v = [rng.randrange(q) for _ in range(s)]
+            b = [sum(map(mul, row, v)) + rng.choice([0, 0, 1, p]) for row in a]
+            cases.append((a, b))
+        for a, b in cases:
+            s = len(a)
+            x, kernel = _solve_local(a, b, p, q)
+            target = tuple(bi % q for bi in b)
+            image = {}
+            for y in itertools.product(range(q), repeat=s):
+                image.setdefault(tuple(sum(map(mul, row, y)) % q for row in a), []).append(y)
+            assert (x is not None) == (target in image)
+            if x is not None:
+                assert tuple(sum(map(mul, row, x)) % q for row in a) == target
+            # the witnesses lie in the kernel and generate all of it
+            span, frontier = {(0,) * s}, [(0,) * s]
+            generators = [tuple(z) for z in kernel]
+            while frontier:
+                y = frontier.pop()
+                for z in generators:
+                    w = tuple((u + v) % q for u, v in zip(y, z))
+                    if w not in span:
+                        span.add(w)
+                        frontier.append(w)
+            assert span == set(image[(0,) * s])
 
 
 def test_homology_suite_reaches_every_outcome():
@@ -384,7 +397,7 @@ def test_every_undefined_presentation_has_a_checkable_witness():
     rng = random.Random(23)
     seen = 0
     for _ in range(400):
-        p = random_surgery(rng, k=rng.choice([1, 2, -2, 3, 4]), max_surgery=4)
+        p = random_surgery(rng, k=rng.choice([1, 2, -2, 3, 4, 15, -21, 105]), max_surgery=4)
         try:
             surgery_expectation(p)
         except DenominatorZero as exc:
