@@ -3,8 +3,8 @@
 Computes Wilson-line expectation values of oriented framed coloured
 links in S^3 and, through integer-framed surgery presentations, in
 closed oriented 3-manifolds such as S^1 x S^2 and S^1 x Sigma_g.  All
-values live in cyclotomic fields and are compared exactly; floats are
-used only for reporting and cross-checking.
+values live in rings of cyclotomic integers Z[zeta_n] and are compared
+exactly; floats are used only for reporting and cross-checking.
 
 Public names are resolved on first access (PEP 562), so importing the
 package, or one of its modules, loads only the modules actually used.
@@ -19,7 +19,6 @@ _EXPORTS = {
         "CycNum",
         "IntPoly",
         "OrderMismatch",
-        "ZeroInverse",
         "cyclotomic_polynomial",
         "root_power",
         "totient",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 
@@ -176,13 +175,9 @@ def _coupling(args, obj) -> CouplingLevel:
 
 
 def cyc_to_json(value: CycNum) -> dict:
-    """Coordinates as [numerator, denominator] pairs in lowest terms."""
-    den = value.den
-    coeffs = []
-    for c in value.num:
-        g = math.gcd(c, den)
-        coeffs.append([c // g, den // g])
-    return {"n": value.n, "coeffs": coeffs}
+    """Coordinates as [numerator, denominator] pairs; every value is a
+    cyclotomic integer, so every denominator is 1."""
+    return {"n": value.n, "coeffs": [[c, 1] for c in value.num]}
 
 
 def invariant_to_json(inv: Invariant) -> dict:

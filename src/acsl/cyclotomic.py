@@ -1,19 +1,14 @@
-"""Exact arithmetic in the cyclotomic fields Q(zeta_n).
+"""Exact arithmetic in the rings of cyclotomic integers Z[zeta_n].
 
-A field element is stored as a vector of phi(n) integer coordinates
-over one positive common denominator, with respect to the power basis
-1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th cyclotomic
-polynomial and kept in lowest terms.  That form is unique, so equality
-of elements is plain structural equality and the invariant comparisons
-downstream are exact.  Every value the library produces lies in
-Z[zeta_n], has denominator 1 and is computed in integers only.
-Fraction is imported only at the rational edges: where rationals come
-in (from_coeffs with non-integer input, scalar multiplication by a
-Fraction) and where they go out (the coeffs property).  One convolution
-(CycNum.__mul__) and one reduction (_reduce) serve every operation, the
-inverse included: it is the product of the other Galois conjugates over
-the norm.  The float embedding exists only for reporting and for test
-oracles.
+An element is stored as phi(n) integer coordinates with respect to the
+power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
+cyclotomic polynomial.  That form is unique, so equality of elements is
+plain structural equality and the invariant comparisons downstream are
+exact.  Every value the library builds -- zero, a root of unity
+zeta_{4|k|}**e or an exact Gauss sum -- lies in this ring, and no
+evaluator divides, so the ring operations suffice: one convolution
+(CycNum.__mul__) and one reduction (_reduce) serve every product.  The
+float embedding exists only for reporting and for test oracles.
 """
 
 from __future__ import annotations
@@ -23,10 +18,6 @@ import math
 from functools import lru_cache
 
 from ._record import Record
-
-
-class ZeroInverse(ZeroDivisionError):
-    """Inversion of the zero element."""
 
 
 class OrderMismatch(ValueError):
@@ -132,39 +123,18 @@ def _reduce(n: int, raw: list[int]) -> list[int]:
     return work
 
 
-def _lowest(n: int, num: list[int], den: int) -> CycNum:
-    """The element with coordinates num[i] / den, in lowest terms."""
-    g = math.gcd(den, *num)
-    if den < 0:
-        g = -g
-    if g != 1:
-        num = [c // g for c in num]
-        den //= g
-    return CycNum(n, tuple(num), den)
-
-
 class CycNum(Record):
-    """Element of Q(zeta_n): reduced integer coordinates num over den.
+    """Element of Z[zeta_n]: the value sum(num[i] * zeta**i), with
+    len(num) == phi(n) reduced integer coordinates."""
 
-    The value is sum(num[i] * zeta**i) / den with len(num) == phi(n),
-    den > 0 and gcd(den, *num) == 1.
-    """
-
-    def __init__(self, n: int, num: tuple[int, ...], den: int) -> None:
+    def __init__(self, n: int, num: tuple[int, ...]) -> None:
         self.__dict__["n"] = n
         self.__dict__["num"] = num
-        self.__dict__["den"] = den
 
     @classmethod
     def from_coeffs(cls, n: int, raw) -> CycNum:
-        """Build from rational coordinates of any degree (reduced modulo Phi_n)."""
-        raw = list(raw)
-        if not all(isinstance(c, int) for c in raw):
-            from fractions import Fraction
-
-            raw = [c if isinstance(c, int) else Fraction(c) for c in raw]
-        den = math.lcm(*[c.denominator for c in raw])
-        return _lowest(n, _reduce(n, [c.numerator * (den // c.denominator) for c in raw]), den)
+        """Build from integer coordinates of any degree (reduced modulo Phi_n)."""
+        return cls(n, tuple(_reduce(n, list(raw))))
 
     @classmethod
     def zero(cls, n: int) -> CycNum:
@@ -174,98 +144,48 @@ class CycNum(Record):
     def one(cls, n: int) -> CycNum:
         return cls.from_coeffs(n, [1])
 
-    @classmethod
-    def integer(cls, n: int, value) -> CycNum:
-        return cls.from_coeffs(n, [value])
-
-    @property
-    def coeffs(self) -> tuple:
-        """The rational coordinates num[i] / den, as Fractions."""
-        from fractions import Fraction
-
-        return tuple([Fraction(c, self.den) for c in self.num])
-
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
 
     def _check(self, other: CycNum) -> None:
+        if type(other) is not CycNum:
+            raise TypeError(f"expected a CycNum, got {type(other).__name__}")
         if self.n != other.n:
             raise OrderMismatch(f"root orders differ: {self.n} vs {other.n}")
 
     def __add__(self, other: CycNum) -> CycNum:
         self._check(other)
-        a, b = self.den, other.den
-        return _lowest(self.n, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
+        return CycNum(self.n, tuple([x + y for x, y in zip(self.num, other.num)]))
 
     def __sub__(self, other: CycNum) -> CycNum:
         return self + -other
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.n, tuple([-c for c in self.num]), self.den)
+        return CycNum(self.n, tuple([-c for c in self.num]))
 
-    def __mul__(self, other):
-        if isinstance(other, CycNum):
-            self._check(other)
-            prod = [0] * (len(self.num) + len(other.num) - 1)
-            for i, a in enumerate(self.num):
-                if a:
-                    for j, b in enumerate(other.num):
-                        prod[i + j] += a * b
-            return _lowest(self.n, _reduce(self.n, prod), self.den * other.den)
-        if not isinstance(other, int):
-            from fractions import Fraction
-
-            if not isinstance(other, Fraction):
-                return NotImplemented
-        return _lowest(self.n, [c * other.numerator for c in self.num], self.den * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: CycNum) -> CycNum:
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> CycNum:
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = CycNum.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def inverse(self) -> CycNum:
-        """Exact multiplicative inverse: the product of the other Galois
-        conjugates divided by the norm, which is rational."""
-        if self.is_zero:
-            raise ZeroInverse(f"zero element of Q(zeta_{self.n}) has no inverse")
-        others = CycNum.one(self.n)
-        for j in range(2, self.n):
-            if math.gcd(j, self.n) == 1:
-                others = others * self._galois(j)
-        norm = self * others
-        return _lowest(self.n, [c * norm.den for c in others.num], others.den * norm.num[0])
+    def __mul__(self, other: CycNum) -> CycNum:
+        self._check(other)
+        prod = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    prod[i + j] += a * b
+        return CycNum.from_coeffs(self.n, prod)
 
     def conjugate(self) -> CycNum:
-        """Complex conjugation, the field map zeta -> zeta**-1."""
-        return self._galois(-1)
-
-    def _galois(self, j: int) -> CycNum:
-        """The field automorphism zeta -> zeta**j, for j prime to n."""
+        """Complex conjugation, the ring automorphism zeta -> zeta**-1."""
         raw = [0] * self.n
         for i, c in enumerate(self.num):
-            raw[i * j % self.n] += c
-        return _lowest(self.n, _reduce(self.n, raw), self.den)
+            raw[-i % self.n] += c
+        return CycNum.from_coeffs(self.n, raw)
 
     def embed(self) -> complex:
         """Numeric value at zeta_n = exp(2*pi*i/n), double precision."""
         z = cmath.exp(2j * cmath.pi / self.n)
         out: complex = 0
         for c in reversed(self.num):
-            out = out * z + c / self.den
+            out = out * z + c
         return out
 
 
@@ -273,4 +193,4 @@ def root_power(n: int, e: int) -> CycNum:
     """Canonical representative of zeta_n**(e mod n)."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    return CycNum(n, tuple(_reduce(n, [0] * (e % n) + [1])), 1)
+    return CycNum(n, tuple(_reduce(n, [0] * (e % n) + [1])))

@@ -79,7 +79,7 @@ class Invariant(Record):
 
     @property
     def value(self) -> CycNum:
-        """The exact element of Q(zeta_order)."""
+        """The exact element of Z[zeta_order]."""
         if self.exponent is None:
             return CycNum.zero(self.order)
         return root_power(self.order, self.exponent)
@@ -113,7 +113,7 @@ def s3_expectation(fl: FramedLink, k) -> Invariant:
     Always a unit-modulus root of unity; links containing surgery
     components belong to the surgery module instead.
     """
-    level = k if type(k) is CouplingLevel else CouplingLevel(k)
+    level = CouplingLevel.of(k)
     if SURGERY in fl.roles:
         raise SurgeryComponentError(
             "link has surgery components; use surgery_expectation"

@@ -13,20 +13,25 @@ import subprocess
 import sys
 import time
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import acsl
-from acsl import CycNum, FramedLink, SurgeryPresentation, blow_up, handle_slide, s3_expectation
+from acsl import (
+    FramedLink,
+    SurgeryPresentation,
+    blow_up,
+    handle_slide,
+    s3_expectation,
+    surgery_expectation,
+)
 from acsl.cli import (
     COMMANDS,
     MAX_TERMS_LIMIT,
     TRIALS_LIMIT,
     InputError,
     build_parser,
-    cyc_to_json,
     invariant_to_json,
     link_from_object,
     link_to_json,
@@ -570,17 +575,19 @@ def test_huge_k_is_refused_before_any_allocation(tmp_path, capsys):
     assert (out["order"], out["phase_exponent"]) == (400_000, 399_998)
 
 
-def test_json_coordinates_are_the_fractions_in_lowest_terms():
-    rng = random.Random(8)
-    for n in (3, 4, 8, 12, 20):
-        for _ in range(20):
-            raw = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(1, 9))]
-            value = CycNum.from_coeffs(n, raw)
-            expected = [[c.numerator, c.denominator] for c in value.coeffs]
-            assert cyc_to_json(value) == {"n": n, "coeffs": expected}
-    value = CycNum.from_coeffs(8, [Fraction(-1, 2), Fraction(3, 4), 0, 5])
-    assert value.den == 4
-    assert cyc_to_json(value)["coeffs"] == [[-1, 2], [3, 4], [0, 1], [5, 1]]
+def test_json_coordinates_are_integers_over_one():
+    hopf = FramedLink.make(HOPF["linking"], charges=HOPF["charges"])
+    meridian = FramedLink.make(MERIDIAN["linking"], charges=MERIDIAN["charges"], roles=MERIDIAN["roles"])
+    framed = FramedLink.make([[0, 1], [1, 3]], charges=[1, 0], roles=["observed", "surgery"])
+    results = [s3_expectation(hopf, k) for k in (1, -3, 12, 100, 99991)]
+    results += [surgery_expectation(SurgeryPresentation.make(fl, k)) for fl in (meridian, framed) for k in (1, -5, 99991)]
+    assert any(inv.is_zero for inv in results) and not all(inv.is_zero for inv in results)
+    for inv in results:
+        out = invariant_to_json(inv)
+        n, pairs = out["value"]["n"], out["value"]["coeffs"]
+        assert all(d == 1 and type(c) is int for c, d in pairs)
+        embedded = sum(c * cmath.exp(2j * cmath.pi * i / n) for i, (c, _) in enumerate(pairs) if c)
+        assert abs(embedded - complex(*out["numeric"])) < 1e-9
 
 
 def test_satellite_expansion_is_limited(tmp_path, capsys):

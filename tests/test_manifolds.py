@@ -79,7 +79,7 @@ def test_t3_presentation_shape():
     assert p.link.n == 3
     from acsl import gauss_sum
 
-    assert gauss_sum(p, False).value == CycNum.integer(8, 64)  # (2k)^3
+    assert gauss_sum(p, False).value == CycNum.from_coeffs(8, [64])  # (2k)^3
     observed = FramedLink.make([[0]], charges=[1])
     with pytest.raises(ValueError):
         t3_presentation(observed, [(1, 0)], 1)

@@ -37,10 +37,10 @@ RECORDS = [
         {"coeffs": (-1, 1)},
     ),
     (
-        lambda: CycNum(4, (1, -3), 2),
-        CycNum(4, (1, 3), 2),
-        "CycNum(n=4, num=(1, -3), den=2)",
-        {"n": 4, "num": (1, -3), "den": 2},
+        lambda: CycNum(4, (1, -3)),
+        CycNum(4, (1, 3)),
+        "CycNum(n=4, num=(1, -3))",
+        {"n": 4, "num": (1, -3)},
     ),
     (
         lambda: Diagram(((4, 1, 3, 2), (1, 4, 2, 3)), ((1, 2), (3, 4))),
@@ -79,10 +79,10 @@ RECORDS = [
         {"link": HOPF, "level": CouplingLevel(2)},
     ),
     (
-        lambda: GaussSum(CycNum(4, (1, 0), 1), 4),
-        GaussSum(CycNum(4, (1, 0), 1), 8),
-        "GaussSum(value=CycNum(n=4, num=(1, 0), den=1), terms=4)",
-        {"value": CycNum(4, (1, 0), 1), "terms": 4},
+        lambda: GaussSum(CycNum(4, (1, 0)), 4),
+        GaussSum(CycNum(4, (1, 0)), 8),
+        "GaussSum(value=CycNum(n=4, num=(1, 0)), terms=4)",
+        {"value": CycNum(4, (1, 0)), "terms": 4},
     ),
     (
         lambda: HomologyData(1, [4, 0, -2], 3),
