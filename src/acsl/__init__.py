@@ -35,6 +35,7 @@ _EXPORTS = {
         "crossing_signs",
         "linking_matrix",
         "mirror_diagram",
+        "parse_crossings",
         "parse_pd",
         "reverse_component_diagram",
         "strand_orientations",

@@ -34,6 +34,12 @@ from .surgery import (
 
 DEFAULT_COUPLINGS = (1, 2, 3, -2)
 
+# Largest gap between an exact value and the float sums it is checked against.
+TOLERANCE = 1e-9
+
+# Most Kirby moves one kirby trial applies.
+MAX_MOVES = 5
+
 
 class _Rng(random.Random):
     """random.Random with randint, randrange(n) and choice in one frame
@@ -182,9 +188,7 @@ def _status(p: SurgeryPresentation):
         return "denominator-zero"
 
 
-def suite_kirby(
-    trials: int = 500, seed: int = 0, k: int | None = None, max_moves: int = 5
-) -> dict:
+def suite_kirby(trials: int = 500, seed: int = 0, k: int | None = None) -> dict:
     """Blow-ups, isolated blow-downs and handle slides fix the invariant."""
     rng = _Rng(seed)
     failures = []
@@ -193,7 +197,7 @@ def suite_kirby(
         p = SurgeryPresentation.make(random_presentation(rng), kk)
         before = _status(p)
         q = p
-        moves = rng.randint(1, max_moves)
+        moves = rng.randint(1, MAX_MOVES)
         for _ in range(moves):
             q = random_kirby_move(rng, q)
         if _status(q) != before:
@@ -201,12 +205,10 @@ def suite_kirby(
     return _report("kirby", trials, seed, k, failures)
 
 
-def suite_oracle(
-    trials: int = 200, seed: int = 0, k: int | None = None, max_terms: int = 10**6, tolerance: float = 1e-9
-) -> dict:
-    """Exact values embed within tolerance of the float summation;
+def suite_oracle(trials: int = 200, seed: int = 0, k: int | None = None, max_terms: int = 10**6) -> dict:
+    """Exact values embed within TOLERANCE of the float summation;
     trials whose lattices exceed max_terms are skipped and counted."""
-    return _enumerated("oracle", trials, seed, k, max_terms, tolerance)
+    return _enumerated("oracle", trials, seed, k, max_terms)
 
 
 HOMOLOGY_COUPLINGS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
@@ -223,23 +225,21 @@ def kernel_witness_holds(p: SurgeryPresentation, y) -> bool:
     return all(v % m == 0 for v in ay) and sum(map(mul, y, ay)) % (2 * m) != 0
 
 
-def suite_homology(
-    trials: int = 1000, seed: int = 0, k: int | None = None, max_terms: int = 4096, tolerance: float = 1e-9
-) -> dict:
+def suite_homology(trials: int = 1000, seed: int = 0, k: int | None = None, max_terms: int = 4096) -> dict:
     """The homological evaluator matches both enumeration oracles.
 
     surgery_expectation is compared with the exact Gauss-sum ratio
     (value, zero and undefined must all agree) and with the float sums
-    (within tolerance, and undefined exactly when the float denominator
+    (within TOLERANCE, and undefined exactly when the float denominator
     vanishes, with a kernel witness that checks).  Trials whose lattices
     exceed max_terms are skipped and counted; undefined and zero
     outcomes are counted, so that a run which never reached them is
     visible.
     """
-    return _enumerated("homology", trials, seed, k, max_terms, tolerance)
+    return _enumerated("homology", trials, seed, k, max_terms)
 
 
-def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int, tolerance: float) -> dict:
+def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int) -> dict:
     """The oracle and homology trials.  oracle: DEFAULT_COUPLINGS, up to
     four surgery components, one to three Kirby moves on every third
     trial.  homology: HOMOLOGY_COUPLINGS, up to five, zero to three
@@ -280,7 +280,7 @@ def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int, tolerance
         zero += got.is_zero
         if exact and (exact_den.is_zero or got.value * exact_den != exact_num):
             failures.append(f"{where}: differs from the exact ratio")
-        elif abs(denominator) < 1e-6 or abs(got.numeric - numerator / denominator) >= tolerance:
+        elif abs(denominator) < 1e-6 or abs(got.numeric - numerator / denominator) >= TOLERANCE:
             failures.append(f"{where}: differs from the float ratio")
     counts = {"undefined": undefined, "zero": zero} if exact else {}
     return _report(suite, trials, seed, k, failures, **counts, skipped=skipped)

@@ -24,11 +24,12 @@ from .invariants import (
 )
 from .linkdiagram import (
     OBSERVED,
+    Diagram,
     DiagramError,
     FramedLink,
     PDError,
     linking_matrix,
-    parse_pd,
+    parse_crossings,
 )
 
 
@@ -94,21 +95,20 @@ def link_from_object(obj) -> FramedLink:
         if not isinstance(obj["pd"], str):
             raise InputError("pd: expected a string")
         components = _expect_list(obj.get("components"), "components")
-        text = obj["pd"] + " C: " + "; ".join(
-            " ".join(str(_expect_int(e, f"components[{i}][{j}]")) for j, e in enumerate(_expect_list(comp, f"components[{i}]")))
-            for i, comp in enumerate(components)
-        )
+        if not components:
+            raise InputError("components: expected a non-empty list")
+        for i, comp in enumerate(components):
+            if not _expect_list(comp, f"components[{i}]"):
+                raise InputError(f"components[{i}]: expected a non-empty list")
+            for j, e in enumerate(comp):
+                if _expect_int(e, f"components[{i}][{j}]") < 1:
+                    raise InputError(f"components[{i}][{j}]: expected a positive integer, got {e}")
         try:
-            diagram = parse_pd(text)
+            diagram = Diagram(parse_crossings(obj["pd"]), tuple(map(tuple, components)))
         except (PDError, DiagramError) as exc:
             raise InputError(f"pd: {exc}") from exc
-        framings = obj.get("framings", "blackboard")
-        if not isinstance(framings, list) and framings != "blackboard":
-            raise InputError(
-                f"framings: expected \"blackboard\" or a list of integers, got {framings!r}"
-            )
         try:
-            matrix = linking_matrix(diagram, framings).linking
+            matrix = linking_matrix(diagram, obj.get("framings", "blackboard")).linking
         except DiagramError as exc:
             raise InputError(str(exc)) from exc
     else:
@@ -182,13 +182,12 @@ def cyc_to_json(value: CycNum) -> dict:
 
 def invariant_to_json(inv: Invariant) -> dict:
     """The result fields; the cyclotomic coordinates are built here, once."""
-    value = inv.value
-    numeric = value.embed()
+    numeric = inv.numeric
     return {
         "zero": inv.is_zero,
         "order": inv.order,
         "phase_exponent": inv.phase_exponent(),
-        "value": cyc_to_json(value),
+        "value": cyc_to_json(inv.value),
         "numeric": [numeric.real, numeric.imag],
     }
 

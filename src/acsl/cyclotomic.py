@@ -8,7 +8,8 @@ exact.  Every value the library builds -- zero, a root of unity
 zeta_{4|k|}**e or an exact Gauss sum -- lies in this ring, and no
 evaluator divides, so the ring operations suffice: one convolution
 (CycNum.__mul__) and one reduction (_reduce) serve every product.  The
-float embedding exists only for reporting and for test oracles.
+float embedding (embed) serves only the test oracles; reported floats
+come from the phase exponent (Invariant.numeric).
 """
 
 from __future__ import annotations

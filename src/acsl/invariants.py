@@ -9,11 +9,15 @@ and preserve that value, which the property tests check exactly.
 
 from __future__ import annotations
 
+import cmath
 from operator import mul
 
 from ._record import Record
 from .cyclotomic import CycNum, root_power
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
+
+
+_QUARTER_TURNS = (1, 1j, -1, -1j)
 
 
 class SurgeryComponentError(ValueError):
@@ -86,8 +90,13 @@ class Invariant(Record):
 
     @property
     def numeric(self) -> complex:
-        """Double-precision embedding of value."""
-        return self.value.embed()
+        """Double-precision value, computed from the exponent: 0j for
+        exact zero, else whole quarter turns, applied exactly (so values
+        on the axes are exact), times exp of the remaining angle."""
+        if self.exponent is None:
+            return 0j
+        quarters, rest = divmod(4 * self.exponent, self.order)
+        return _QUARTER_TURNS[quarters] * cmath.exp(1j * (cmath.pi * rest / (2 * self.order)))
 
 
 def form_value(matrix, v) -> int:

@@ -22,10 +22,11 @@ followed by a component block ``C: 1 2 3 4; 5 6`` listing each
 component's edges in orientation order, components separated by ``;``.
 
 The over-strand direction at each crossing is not stored explicitly; it
-is recovered by matching crossings against the edge successions of the
-component cycles.  Diagrams where that matching is not unique (a
-two-edge component that is the over-strand at both of its crossings)
-are rejected rather than guessed at.
+is recovered, once, when a Diagram is built, by matching crossings
+against the edge successions of the component cycles.  Diagrams where
+that matching is not unique (a two-edge component that is the
+over-strand at both of its crossings) are rejected rather than guessed
+at.
 """
 
 from __future__ import annotations
@@ -60,16 +61,21 @@ Crossing = tuple[int, int, int, int]
 
 
 class Diagram(Record):
-    """Combinatorial oriented link diagram.
+    """Combinatorial oriented link diagram, validated when it is built.
 
     crossings: X(a,b,c,d) tuples as described in the module docstring.
     component_edges: one cyclically ordered edge sequence per component,
     listed along the component's orientation.
+    signs: the crossing signs, in crossing order, derived from the other
+    two by the constructor, which raises DiagramError (AmbiguousDiagram
+    when the over-strands cannot be oriented) on invalid data.
     """
 
     def __init__(self, crossings: tuple[Crossing, ...], component_edges: tuple[tuple[int, ...], ...]) -> None:
+        signs = _analyze(crossings, component_edges)
         self.__dict__["crossings"] = crossings
         self.__dict__["component_edges"] = component_edges
+        self.__dict__["signs"] = signs
 
     @property
     def n_components(self) -> int:
@@ -203,18 +209,21 @@ _CROSSING_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)
 _TERM_RE = re.compile(r"X\([^)]*\)|\S+")
 
 
-def parse_pd(text: str) -> Diagram:
-    """Parse planar-diagram text into a validated Diagram."""
-    if "C:" in text:
-        crossing_part, component_part = text.split("C:", 1)
-    else:
-        crossing_part, component_part = text, ""
+def parse_crossings(text: str) -> tuple[Crossing, ...]:
+    """Parse whitespace-separated X(a,b,c,d) terms."""
     crossings = []
-    for term in _TERM_RE.findall(crossing_part):
+    for term in _TERM_RE.findall(text):
         m = _CROSSING_RE.fullmatch(term)
         if m is None:
             raise PDError(f"bad crossing term {term!r}; expected X(a,b,c,d)")
-        crossings.append(tuple(int(g) for g in m.groups()))
+        crossings.append(tuple(map(int, m.groups())))
+    return tuple(crossings)
+
+
+def parse_pd(text: str) -> Diagram:
+    """Parse planar-diagram text, crossings then component block, into a Diagram."""
+    crossing_part, _, component_part = text.partition("C:")
+    crossings = parse_crossings(crossing_part)
     components = []
     for chunk in component_part.split(";"):
         labels = chunk.split()
@@ -229,34 +238,13 @@ def parse_pd(text: str) -> Diagram:
         components.append(edges)
     if not components:
         raise PDError("missing component block 'C: ...'")
-    d = Diagram(tuple(crossings), tuple(components))
-    _analyze(d)
-    return d
+    return Diagram(crossings, tuple(components))
 
 
-class _Analysis(Record):
-    """Resolved per-crossing data for a valid diagram.
-
-    component_of maps each edge to its component; strands holds, per
-    crossing, ((under_in, under_out), (over_in, over_out)).
-    """
-
-    def __init__(self, component_of: dict[int, int], signs: tuple[int, ...], strands) -> None:
-        self.__dict__["component_of"] = component_of
-        self.__dict__["signs"] = signs
-        self.__dict__["strands"] = strands
-
-    def __hash__(self):
-        return hash((self.signs, self.strands))  # component_of is a dict
-
-
-# An analysis is large (over 100 KB for 300 crossings) and is reread
-# only right after it is made (parse_pd, then linking_matrix on the same
-# diagram), so only the last one is kept.
-@lru_cache(maxsize=1)
-def _analyze(d: Diagram) -> _Analysis:
+def _analyze(crossings, component_edges) -> tuple[int, ...]:
+    """Validate diagram data; returns the crossing signs."""
     component_of: dict[int, int] = {}
-    for ci, comp in enumerate(d.component_edges):
+    for ci, comp in enumerate(component_edges):
         if not comp:
             raise DiagramError(f"component {ci} lists no edges")
         for e in comp:
@@ -265,7 +253,7 @@ def _analyze(d: Diagram) -> _Analysis:
             component_of[e] = ci
 
     appearances: dict[int, int] = {}
-    for x in d.crossings:
+    for x in crossings:
         if len(x) != 4:
             raise DiagramError(f"crossing {x} does not have four edges")
         for e in x:
@@ -273,7 +261,7 @@ def _analyze(d: Diagram) -> _Analysis:
                 raise DiagramError(f"edge {e} appears in a crossing but in no component")
             appearances[e] = appearances.get(e, 0) + 1
 
-    for ci, comp in enumerate(d.component_edges):
+    for ci, comp in enumerate(component_edges):
         counts = {e: appearances.get(e, 0) for e in comp}
         if all(c == 0 for c in counts.values()):
             if len(comp) != 1:
@@ -290,13 +278,13 @@ def _analyze(d: Diagram) -> _Analysis:
     # Edge successions along each component; every one is consumed by
     # exactly one strand passage through a crossing.
     transitions: set[tuple[int, int]] = set()
-    for comp in d.component_edges:
+    for comp in component_edges:
         if appearances.get(comp[0], 0) == 0:
             continue
         for i, e in enumerate(comp):
             transitions.add((e, comp[(i + 1) % len(comp)]))
 
-    for x in d.crossings:
+    for x in crossings:
         a, _, c, _ = x
         if (a, c) not in transitions:
             raise DiagramError(
@@ -306,13 +294,13 @@ def _analyze(d: Diagram) -> _Analysis:
         transitions.remove((a, c))
 
     # Over-strand directions: fixpoint over the remaining successions.
-    over: dict[int, tuple[int, int]] = {}
-    pending = list(range(len(d.crossings)))
+    signs = [0] * len(crossings)
+    pending = list(range(len(crossings)))
     while pending:
         progressed = False
         deferred = []
         for idx in pending:
-            _, b, _, dd = d.crossings[idx]
+            _, b, _, dd = crossings[idx]
             forward = (dd, b) in transitions  # over running d -> b
             backward = (b, dd) in transitions
             if forward and backward:
@@ -320,34 +308,25 @@ def _analyze(d: Diagram) -> _Analysis:
                 continue
             if not forward and not backward:
                 raise DiagramError(
-                    f"over-strand of crossing {d.crossings[idx]} matches no "
+                    f"over-strand of crossing {crossings[idx]} matches no "
                     "remaining edge succession"
                 )
-            pick = (dd, b) if forward else (b, dd)
-            transitions.remove(pick)
-            over[idx] = pick
+            transitions.remove((dd, b) if forward else (b, dd))
+            signs[idx] = 1 if forward else -1
             progressed = True
         if deferred and not progressed:
             raise AmbiguousDiagram(
                 "over-strand orientation is not determined for crossings "
-                f"{[d.crossings[i] for i in deferred]}; two-edge components "
+                f"{[crossings[i] for i in deferred]}; two-edge components "
                 "that never run under cannot be oriented from PD data"
             )
         pending = deferred
     if transitions:
         raise DiagramError(f"unmatched edge successions remain: {sorted(transitions)}")
 
-    signs = []
-    strands = []
-    for idx, x in enumerate(d.crossings):
-        a, b, c, dd = x
-        over_in, over_out = over[idx]
-        signs.append(1 if (over_in, over_out) == (dd, b) else -1)
-        strands.append(((a, c), (over_in, over_out)))
-
     # Closed curves intersect an even number of times pairwise.
     pair_counts: dict[tuple[int, int], int] = {}
-    for x in d.crossings:
+    for x in crossings:
         cu = component_of[x[0]]
         co = component_of[x[1]]
         if cu != co:
@@ -358,26 +337,27 @@ def _analyze(d: Diagram) -> _Analysis:
             raise DiagramError(
                 f"components {i} and {j} cross an odd number of times ({count})"
             )
-
-    return _Analysis(component_of, tuple(signs), tuple(strands))
+    return tuple(signs)
 
 
 def crossing_signs(d: Diagram) -> tuple[int, ...]:
     """Signs of all crossings, in crossing order."""
-    return _analyze(d).signs
+    return d.signs
 
 
 def crossing_sign(d: Diagram, crossing_index: int) -> int:
     """Sign of one crossing (+1 when the over-strand runs d -> b)."""
-    signs = _analyze(d).signs
-    if not 0 <= crossing_index < len(signs):
+    if not 0 <= crossing_index < len(d.signs):
         raise IndexError(f"crossing index {crossing_index} out of range")
-    return signs[crossing_index]
+    return d.signs[crossing_index]
 
 
 def strand_orientations(d: Diagram):
     """Per crossing: ((under_in, under_out), (over_in, over_out))."""
-    return _analyze(d).strands
+    return tuple([
+        ((a, c), (dd, b) if sign == 1 else (b, dd))
+        for (a, b, c, dd), sign in zip(d.crossings, d.signs)
+    ])
 
 
 def linking_matrix(d: Diagram, framings) -> FramedLink:
@@ -387,23 +367,23 @@ def linking_matrix(d: Diagram, framings) -> FramedLink:
     the two components; diagonal entries come from the explicit framing
     vector, or in ``"blackboard"`` mode from each component's writhe.
     """
-    analysis = _analyze(d)
+    if framings != "blackboard" and not isinstance(framings, (list, tuple)):
+        raise DiagramError(
+            f"framings: expected \"blackboard\" or a list of integers, got {framings!r}"
+        )
     n = d.n_components
+    component_of = {e: ci for ci, comp in enumerate(d.component_edges) for e in comp}
     # Each sign is added twice, so halving leaves the writhe on the
     # diagonal and half the signed count off it, which is even because
-    # _analyze admits only even crossing counts between two components.
+    # a Diagram admits only even crossing counts between two components.
     matrix = [[0] * n for _ in range(n)]
-    for x, sign in zip(d.crossings, analysis.signs):
-        cu = analysis.component_of[x[0]]
-        co = analysis.component_of[x[1]]
+    for x, sign in zip(d.crossings, d.signs):
+        cu = component_of[x[0]]
+        co = component_of[x[1]]
         matrix[cu][co] += sign
         matrix[co][cu] += sign
     matrix = [[entry // 2 for entry in row] for row in matrix]
-    if isinstance(framings, str):
-        if framings != "blackboard":
-            raise DiagramError(f"unknown framing mode {framings!r}")
-    else:
-        framings = list(framings)
+    if framings != "blackboard":
         if len(framings) != n:
             raise DiagramError(
                 f"framings: framing vector has length {len(framings)}, expected {n}"
@@ -432,16 +412,14 @@ def reverse_component_diagram(d: Diagram, j: int) -> Diagram:
     """
     if not 0 <= j < d.n_components:
         raise IndexError(f"component index {j} out of range")
-    analysis = _analyze(d)
+    edges = set(d.component_edges[j])
     crossings = []
     for x in d.crossings:
         a, b, c, dd = x
-        if analysis.component_of[a] == j:
+        if a in edges:
             crossings.append((c, dd, a, b))
         else:
             crossings.append(x)
     components = list(d.component_edges)
     components[j] = tuple(reversed(components[j]))
-    out = Diagram(tuple(crossings), tuple(components))
-    _analyze(out)
-    return out
+    return Diagram(tuple(crossings), tuple(components))

@@ -76,9 +76,7 @@ def insert_clasp(d: Diagram, over_edge: int, under_edge: int, kind: str) -> Diag
     else:
         raise ValueError(f"unknown clasp kind {kind!r}")
     crossings.extend(new)
-    out = Diagram(tuple(crossings), tuple(tuple(c) for c in components))
-    crossing_signs(out)  # force validation
-    return out
+    return Diagram(tuple(crossings), tuple(tuple(c) for c in components))
 
 
 def linking_by_over_strand(d: Diagram, i: int, j: int) -> int:

@@ -135,7 +135,7 @@ def test_criterion_5_torus_bundle_two_sided():
 
 
 def test_criterion_6_kirby_invariance():
-    report = suite_kirby(trials=500, seed=6, max_moves=5)
+    report = suite_kirby(trials=500, seed=6)
     assert report["failures"] == 0, report
     print("ACCEPTANCE 6 (Kirby invariance, 500 presentations): PASS")
 

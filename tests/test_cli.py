@@ -365,6 +365,15 @@ def test_schema_errors_name_the_field(tmp_path, capsys):
         ({"linking": [[0, 1], [1, 0]], "charges": [1, True]}, "charges[1] is not an integer: True"),
         ({**hopf_pd, "framings": [0, "1"]}, "framings[1] is not an integer: '1'"),
         ({**hopf_pd, "framings": [0, 1, 2], "charges": [1, 1]}, "framings: framing vector has length 3, expected 2"),
+        ({**hopf_pd, "framings": 5, "charges": [1, 1]}, 'framings: expected "blackboard" or a list of integers, got 5'),
+        ({**hopf_pd, "components": [[1, 2], [3, 4], []], "charges": [1, 1]}, "components[2]: expected a non-empty list"),
+        ({**hopf_pd, "components": [], "charges": []}, "components: expected a non-empty list"),
+        ({**hopf_pd, "pd": "X(4,1,3,2) X(1,4,2,3) C: 1 2; 3 4", "charges": [1, 1]},
+         "pd: bad crossing term 'C:'; expected X(a,b,c,d)"),
+        ({**hopf_pd, "components": [[1, 2], [3, 0]], "charges": [1, 1]},
+         "components[1][1]: expected a positive integer, got 0"),
+        ({**hopf_pd, "components": [[1, 2], [3, "4"]], "charges": [1, 1]},
+         "components[1][1]: expected an integer, got '4'"),
         ({"charges": [1]}, "top level: need either 'linking' or 'pd'"),
         ({"linking": [[0, 1], [1, 0]], "charges": [1]}, "charges, roles and names must match the matrix size"),
     ]
@@ -422,18 +431,6 @@ def test_ragged_linking_is_input_error(tmp_path, capsys):
     assert code == 2
     assert err["error"] == "InputError"
     assert "linking[1]" in err["message"]
-
-
-def test_non_list_framings_is_input_error(tmp_path, capsys):
-    path = write(
-        tmp_path,
-        "hopf_pd.json",
-        {"pd": "X(4,1,3,2) X(1,4,2,3)", "components": [[1, 2], [3, 4]], "framings": 5},
-    )
-    code, _, err = run_json(capsys, ["s3", "--input", path, "--k", "1"])
-    assert code == 2
-    assert err["error"] == "InputError"
-    assert "framings" in err["message"]
 
 
 def test_nonpositive_trials_is_input_error(capsys):

@@ -141,6 +141,9 @@ def test_framing_vector_validation():
         linking_matrix(d, [0])
     with pytest.raises(DiagramError):
         linking_matrix(d, "chalkboard")
+    with pytest.raises(DiagramError) as info:
+        linking_matrix(d, 5)
+    assert str(info.value) == 'framings: expected "blackboard" or a list of integers, got 5'
 
 
 def test_edge_count_validation():
@@ -312,14 +315,20 @@ def twisted_closure_text(crossings: int, offset: int) -> str:
     return xs + " C: " + "; ".join(" ".join(str(label[e]) for e in comp) for comp in components)
 
 
-def test_analysis_cache_is_bounded():
-    from acsl.linkdiagram import _analyze
+def test_analysis_cache_is_bounded(monkeypatch):
+    """A diagram is analysed once, when it is built, and nothing of the
+    analysis outlives it."""
+    import acsl.linkdiagram
 
-    before = _analyze.cache_info()
     d = parse_pd(twisted_closure_text(300, 1))
-    assert linking_matrix(d, [0, 0]).linking == ((0, 150), (150, 0))
-    after = _analyze.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    def analyze(*args):
+        raise AssertionError("diagram analysed again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(acsl.linkdiagram, "_analyze", analyze)
+        assert linking_matrix(d, [0, 0]).linking == ((0, 150), (150, 0))
+        assert crossing_signs(d) == (1,) * 300
 
     gc.collect()
     tracemalloc.start()
@@ -331,7 +340,7 @@ def test_analysis_cache_is_bounded():
         retained = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert retained < 512 << 10  # the one kept analysis is about 150 KB; 40 unbounded hold 6 MB
+    assert retained < 512 << 10  # 40 retained analyses of this size would hold 6 MB
 
 
 ROLE_CHOICES = "('observed', 'surgery')"

@@ -18,7 +18,6 @@ from acsl import (
     Invariant,
     SurgeryPresentation,
 )
-from acsl.linkdiagram import _Analysis
 
 HOPF = FramedLink(((0, 1), (1, 0)), (1, 1), ("observed", "observed"), ("C1", "C2"))
 HOPF_REPR = (
@@ -27,8 +26,8 @@ HOPF_REPR = (
 )
 
 # (build, a different value, repr, keyword arguments of build()).  The
-# builders normalise where the class does: trailing zeros, exponent mod
-# order, pairings to a tuple.
+# builders normalise or derive where the class does: trailing zeros,
+# exponent mod order, pairings to a tuple, a diagram's crossing signs.
 RECORDS = [
     (
         lambda: IntPoly([-1, 1, 0]),
@@ -45,7 +44,7 @@ RECORDS = [
     (
         lambda: Diagram(((4, 1, 3, 2), (1, 4, 2, 3)), ((1, 2), (3, 4))),
         Diagram(((1, 4, 2, 3), (3, 2, 4, 1)), ((1, 2), (3, 4))),
-        "Diagram(crossings=((4, 1, 3, 2), (1, 4, 2, 3)), component_edges=((1, 2), (3, 4)))",
+        "Diagram(crossings=((4, 1, 3, 2), (1, 4, 2, 3)), component_edges=((1, 2), (3, 4)), signs=(1, 1))",
         {"crossings": ((4, 1, 3, 2), (1, 4, 2, 3)), "component_edges": ((1, 2), (3, 4))},
     ),
     (
@@ -53,12 +52,6 @@ RECORDS = [
         FramedLink(((0, 1), (1, 0)), (1, -1), ("observed", "observed"), ("C1", "C2")),
         HOPF_REPR,
         {"linking": ((0, 1), (1, 0)), "charges": (1, 1), "roles": ("observed", "observed"), "names": ("C1", "C2")},
-    ),
-    (
-        lambda: _Analysis({1: 0, 2: 0}, (1,), (((1, 2), (2, 1)),)),
-        _Analysis({1: 0, 2: 0}, (-1,), (((1, 2), (1, 2)),)),
-        "_Analysis(component_of={1: 0, 2: 0}, signs=(1,), strands=(((1, 2), (2, 1)),))",
-        {"component_of": {1: 0, 2: 0}, "signs": (1,), "strands": (((1, 2), (2, 1)),)},
     ),
     (
         lambda: CouplingLevel(-3),
