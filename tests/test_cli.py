@@ -433,6 +433,18 @@ def test_ragged_linking_is_input_error(tmp_path, capsys):
     assert "linking[1]" in err["message"]
 
 
+def test_non_list_framings_is_input_error(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "hopf_pd.json",
+        {"pd": "X(4,1,3,2) X(1,4,2,3)", "components": [[1, 2], [3, 4]], "framings": 5},
+    )
+    code, _, err = run_json(capsys, ["s3", "--input", path, "--k", "1"])
+    assert code == 2
+    assert err["error"] == "InputError"
+    assert err["message"] == 'framings: expected "blackboard" or a list of integers, got 5'
+
+
 def test_nonpositive_trials_is_input_error(capsys):
     code, out, err = run_json(capsys, ["check", "--suite", "kirby", "--trials", "-5", "--k", "1"])
     assert code == 2 and out is None
