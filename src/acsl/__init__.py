@@ -55,7 +55,6 @@ _EXPORTS = {
     "surgery": (
         "DenominatorZero",
         "GaussSum",
-        "SurgeryPresentation",
         "TermLimit",
         "blow_down",
         "blow_up",

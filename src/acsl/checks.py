@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from operator import mul
 
-from .invariants import quadratic_form, s3_expectation, simplicial_satellite
+from .invariants import CouplingLevel, quadratic_form, s3_expectation, simplicial_satellite
 from .linkdiagram import OBSERVED, SURGERY, FramedLink, default_names
 from .manifolds import (
     HomologyData,
@@ -22,7 +22,6 @@ from .manifolds import (
 )
 from .surgery import (
     DenominatorZero,
-    SurgeryPresentation,
     TermLimit,
     blow_down,
     blow_up,
@@ -111,9 +110,8 @@ def random_presentation(
     return FramedLink(matrix, tuple(charges), tuple(roles), default_names(n))
 
 
-def random_kirby_move(rng: random.Random, p: SurgeryPresentation) -> SurgeryPresentation:
+def random_kirby_move(rng: random.Random, fl: FramedLink) -> FramedLink:
     """Apply one random Kirby move whose preconditions hold."""
-    fl = p.link
     n = fl.n
     surgery = fl.surgery()
     moves = ["blow_up"]
@@ -127,12 +125,12 @@ def random_kirby_move(rng: random.Random, p: SurgeryPresentation) -> SurgeryPres
         moves.append("slide")
     move = rng.choice(moves)
     if move == "blow_up":
-        return blow_up(p, rng.choice((1, -1)))
+        return blow_up(fl, rng.choice((1, -1)))
     if move == "blow_down":
-        return blow_down(p, rng.choice(isolated))
+        return blow_down(fl, rng.choice(isolated))
     j = rng.choice(surgery)
     i = rng.choice([i for i in range(n) if i != j])
-    return handle_slide(p, i, j, rng.choice((1, -1)))
+    return handle_slide(fl, i, j, rng.choice((1, -1)))
 
 
 def _couplings(k: int | None) -> tuple[int, ...]:
@@ -181,9 +179,9 @@ def suite_satellite(trials: int = 200, seed: int = 0, k: int | None = None) -> d
     return _report("satellite", trials, seed, k, failures)
 
 
-def _status(p: SurgeryPresentation):
+def _status(fl: FramedLink, k):
     try:
-        return surgery_expectation(p)
+        return surgery_expectation(fl, k)
     except DenominatorZero:
         return "denominator-zero"
 
@@ -194,14 +192,14 @@ def suite_kirby(trials: int = 500, seed: int = 0, k: int | None = None) -> dict:
     failures = []
     for t in range(trials):
         kk = rng.choice(_couplings(k))
-        p = SurgeryPresentation.make(random_presentation(rng), kk)
-        before = _status(p)
-        q = p
+        fl = random_presentation(rng)
+        before = _status(fl, kk)
+        moved = fl
         moves = rng.randint(1, MAX_MOVES)
         for _ in range(moves):
-            q = random_kirby_move(rng, q)
-        if _status(q) != before:
-            failures.append(f"trial {t}: k={kk} {p.link.linking} after {moves} moves")
+            moved = random_kirby_move(rng, moved)
+        if _status(moved, kk) != before:
+            failures.append(f"trial {t}: k={kk} {fl.linking} after {moves} moves")
     return _report("kirby", trials, seed, k, failures)
 
 
@@ -214,14 +212,14 @@ def suite_oracle(trials: int = 200, seed: int = 0, k: int | None = None, max_ter
 HOMOLOGY_COUPLINGS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
 
 
-def kernel_witness_holds(p: SurgeryPresentation, y) -> bool:
+def kernel_witness_holds(fl: FramedLink, k, y) -> bool:
     """Whether y proves the ratio undefined: A y = 0 (mod 2|k|) and
     y.Ay != 0 (mod 4|k|), for A the surgery block, computed directly."""
-    a = p.link.select(p.link.surgery()).linking
+    m = CouplingLevel.of(k).colour_modulus
+    a = fl.select(fl.surgery()).linking
     if y is None or len(y) != len(a):
         return False
     ay = [sum(map(mul, row, y)) for row in a]
-    m = p.level.colour_modulus
     return all(v % m == 0 for v in ay) and sum(map(mul, y, ay)) % (2 * m) != 0
 
 
@@ -251,26 +249,26 @@ def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int) -> dict:
     undefined = zero = skipped = 0
     for t in range(trials):
         kk = rng.choice(couplings)
-        p = SurgeryPresentation.make(random_presentation(rng, max_surgery=4 + exact), kk)
+        fl = random_presentation(rng, max_surgery=4 + exact)
         if exact or t % 3 == 0:
             for _ in range(rng.randint(0 if exact else 1, 3)):
-                p = random_kirby_move(rng, p)
+                fl = random_kirby_move(rng, fl)
         try:
-            numerator, denominator = oracle_sums(p, max_terms)
+            numerator, denominator = oracle_sums(fl, kk, max_terms)
         except TermLimit:
             skipped += 1
             continue
         if exact:
-            exact_num = gauss_sum(p, True, max_terms).value
-            exact_den = gauss_sum(p, False, max_terms).value
+            exact_num = gauss_sum(fl, kk, True, max_terms).value
+            exact_den = gauss_sum(fl, kk, False, max_terms).value
         try:
-            got = surgery_expectation(p)
+            got = surgery_expectation(fl, kk)
         except DenominatorZero as exc:
             got, witness = None, exc.kernel
-        where = f"trial {t}: k={kk} {p.link.linking} {p.link.charges}"
+        where = f"trial {t}: k={kk} {fl.linking} {fl.charges}"
         if got is None:
             undefined += 1
-            if exact and not kernel_witness_holds(p, witness):
+            if exact and not kernel_witness_holds(fl, kk, witness):
                 failures.append(f"{where}: undefined, kernel witness {witness} fails")
             if exact and not exact_den.is_zero:
                 failures.append(f"{where}: undefined, exact ratio is defined")
@@ -302,9 +300,9 @@ def _observed_with_pairing(rng: random.Random, target: int, bound: int):
 def check_s1xs2_agreement(k: int, pairing: int, rng: random.Random) -> str | None:
     """One surgery-vs-closed-form comparison; None when they agree."""
     observed, linkings = _observed_with_pairing(rng, pairing, 2 * abs(k) + 2)
-    p = s1xs2_presentation(observed, linkings, k)
+    fl = s1xs2_presentation(observed, linkings)
     closed = s1xs2_expectation(HomologyData(0, (pairing,), quadratic_form(observed)), k)
-    direct = surgery_expectation(p)
+    direct = surgery_expectation(fl, k)
     if direct != closed:
         return f"k={k} pairing={pairing} {observed.linking} {observed.charges}"
     if direct.is_zero != (pairing % (2 * abs(k)) != 0):
@@ -318,9 +316,9 @@ def check_t3_agreement(k: int, targets, rng: random.Random) -> str | None:
     rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(observed.n)]
     for c in range(3):
         rows[0][c] = targets[c] - sum(observed.charges[i] * rows[i][c] for i in range(1, observed.n))
-    p = t3_presentation(observed, rows, k)
+    fl = t3_presentation(observed, rows)
     closed = s1xsigma_expectation(HomologyData(1, tuple(targets), quadratic_form(observed)), k)
-    direct = surgery_expectation(p)
+    direct = surgery_expectation(fl, k)
     if direct != closed:
         return f"k={k} targets={targets} {observed.linking} {observed.charges}"
     return None

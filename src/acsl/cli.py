@@ -308,14 +308,14 @@ def run(argv) -> int:
             inv = s3_expectation(fl, level)
             _emit({"command": "s3", "k": level.k, **invariant_to_json(inv)})
         elif args.command == "surgery":
-            from . import DenominatorZero, SurgeryPresentation, surgery_expectation
+            from . import DenominatorZero, surgery_expectation
 
             fl = link_from_object(obj)
             s = len(fl.surgery())
             if s > SURGERY_LIMIT:
                 raise InputError(f"roles: {s} surgery components exceed the limit of {SURGERY_LIMIT}")
             try:
-                inv = surgery_expectation(SurgeryPresentation.make(fl, level))
+                inv = surgery_expectation(fl, level)
             except DenominatorZero as exc:
                 return _fail(exc, 3)
             _emit({"command": "surgery", "k": level.k, **invariant_to_json(inv)})

@@ -75,7 +75,7 @@ class IntPoly(Record):
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def cyclotomic_polynomial(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial Phi_n.
 

@@ -293,34 +293,31 @@ def _analyze(crossings, component_edges) -> tuple[int, ...]:
             )
         transitions.remove((a, c))
 
-    # Over-strand directions: fixpoint over the remaining successions.
+    # Over-strand directions, in one pass.  A crossing whose successions
+    # remain both ways has a one- or two-edge over-strand component that
+    # never runs under; only its other over-passages could consume one
+    # of them, and those are undetermined too.
     signs = [0] * len(crossings)
-    pending = list(range(len(crossings)))
-    while pending:
-        progressed = False
-        deferred = []
-        for idx in pending:
-            _, b, _, dd = crossings[idx]
-            forward = (dd, b) in transitions  # over running d -> b
-            backward = (b, dd) in transitions
-            if forward and backward:
-                deferred.append(idx)
-                continue
-            if not forward and not backward:
-                raise DiagramError(
-                    f"over-strand of crossing {crossings[idx]} matches no "
-                    "remaining edge succession"
-                )
-            transitions.remove((dd, b) if forward else (b, dd))
-            signs[idx] = 1 if forward else -1
-            progressed = True
-        if deferred and not progressed:
-            raise AmbiguousDiagram(
-                "over-strand orientation is not determined for crossings "
-                f"{[crossings[i] for i in deferred]}; two-edge components "
-                "that never run under cannot be oriented from PD data"
+    deferred = []
+    for idx, x in enumerate(crossings):
+        _, b, _, dd = x
+        forward = (dd, b) in transitions  # over running d -> b
+        backward = (b, dd) in transitions
+        if forward and backward:
+            deferred.append(x)
+            continue
+        if not forward and not backward:
+            raise DiagramError(
+                f"over-strand of crossing {x} matches no remaining edge succession"
             )
-        pending = deferred
+        transitions.remove((dd, b) if forward else (b, dd))
+        signs[idx] = 1 if forward else -1
+    if deferred:
+        raise AmbiguousDiagram(
+            "over-strand orientation is not determined for crossings "
+            f"{deferred}; two-edge components that never run under cannot "
+            "be oriented from PD data"
+        )
     if transitions:
         raise DiagramError(f"unmatched edge successions remain: {sorted(transitions)}")
 

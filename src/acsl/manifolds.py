@@ -65,28 +65,22 @@ def _extended(observed: FramedLink, columns, framings) -> FramedLink:
     return validate(observed.add_surgery(columns, framings, names))
 
 
-def s1xs2_presentation(observed: FramedLink, core_linkings, k) -> SurgeryPresentation:
+def s1xs2_presentation(observed: FramedLink, core_linkings) -> FramedLink:
     """Surgery presentation of S^1 x S^2: a 0-framed unknot whose core
     links observed component i core_linkings[i] times."""
-    from .surgery import SurgeryPresentation
-
     core_linkings = tuple(core_linkings)
     if len(core_linkings) != observed.n:
         raise ValueError(
             f"core_linkings has length {len(core_linkings)}, "
             f"expected {observed.n}"
         )
-    return SurgeryPresentation.make(
-        _extended(observed, [core_linkings], [0]), k
-    )
+    return _extended(observed, [core_linkings], [0])
 
 
-def t3_presentation(observed: FramedLink, linkings, k) -> SurgeryPresentation:
+def t3_presentation(observed: FramedLink, linkings) -> FramedLink:
     """Surgery presentation of the 3-torus: three 0-framed components
     with zero mutual linking; linkings[i] gives observed component i's
     linking numbers with the three of them."""
-    from .surgery import SurgeryPresentation
-
     rows = [tuple(row) for row in linkings]
     if len(rows) != observed.n:
         raise ValueError(f"linkings has {len(rows)} rows, expected {observed.n}")
@@ -94,4 +88,4 @@ def t3_presentation(observed: FramedLink, linkings, k) -> SurgeryPresentation:
         if len(row) != 3:
             raise ValueError(f"linkings[{i}] has length {len(row)}, expected 3")
     columns = [tuple(rows[i][c] for i in range(observed.n)) for c in range(3)]
-    return SurgeryPresentation.make(_extended(observed, columns, [0, 0, 0]), k)
+    return _extended(observed, columns, [0, 0, 0])

@@ -1,4 +1,4 @@
-"""Surgery presentations, exact Gauss sums and Kirby moves.
+"""Surgery on framed links: the ratio, exact Gauss sums and Kirby moves.
 
 The expectation value in the 3-manifold presented by an integer-framed
 surgery link is the ratio of two cyclotomic Gauss sums: the numerator
@@ -78,24 +78,6 @@ class NotIsolated(ValueError):
     """Blow-down target still links other components."""
 
 
-class SurgeryPresentation(Record):
-    """A framed link with surgery and observed components, plus the coupling."""
-
-    def __init__(self, link: FramedLink, level: CouplingLevel) -> None:
-        self.__dict__["link"] = link
-        self.__dict__["level"] = level
-
-    @classmethod
-    def make(cls, link: FramedLink, k) -> SurgeryPresentation:
-        """Pair a link with a coupling.  The link is taken as valid: it
-        comes from FramedLink.make, or from a library operation on one."""
-        return cls(link, CouplingLevel.of(k))
-
-    @property
-    def k(self) -> int:
-        return self.level.k
-
-
 class GaussSum(Record):
     """Exact value of a colour-lattice sum and the number of terms."""
 
@@ -104,7 +86,7 @@ class GaussSum(Record):
         self.__dict__["terms"] = terms
 
 
-def _groups(indices: list[int], linking) -> list[list[int]]:
+def _groups(indices: tuple[int, ...], linking) -> list[list[int]]:
     """Partition surgery components into linking-connected groups."""
     remaining = set(indices)
     groups = []
@@ -170,7 +152,7 @@ def _phase_combination(hist: list[int], level: CouplingLevel) -> CycNum:
 
 
 def gauss_sum(
-    p: SurgeryPresentation, include_observed: bool, max_terms: int = 10**6
+    fl: FramedLink, k, include_observed: bool, max_terms: int = 10**6
 ) -> GaussSum:
     """Sum of S^3 phases over all colourings of the surgery components.
 
@@ -181,11 +163,10 @@ def gauss_sum(
     anything, when the sub-lattices to walk hold more than max_terms
     colour vectors in total.
     """
-    fl = p.link
-    level = p.level
+    level = CouplingLevel.of(k)
     m = level.colour_modulus
     n = level.root_order
-    surgery = list(fl.surgery())
+    surgery = fl.surgery()
     groups = _groups(surgery, fl.linking)
     walked = sum(m ** len(group) for group in groups)
     if walked > max_terms:
@@ -198,7 +179,7 @@ def gauss_sum(
     value = Invariant.from_quadratic(level, form_value(fl.linking, charges)).value
 
     for group in groups:
-        block = [[fl.linking[i][j] for j in group] for i in group]
+        block = fl.select(group).linking
         linear = [
             sum(fl.linking[i][j] * qj for j, qj in enumerate(charges))
             for i in group
@@ -259,24 +240,23 @@ def _solve_local(a, b, p: int, q: int):
     return _back_substitute(rows, pivots, [0] * s + [q - 1], q), kernel
 
 
-def surgery_expectation(p: SurgeryPresentation) -> Invariant:
-    """Exact expectation value in the presented 3-manifold.
+def surgery_expectation(fl: FramedLink, k) -> Invariant:
+    """Exact expectation value in the 3-manifold presented by the
+    surgery components of fl, at coupling k.
 
-    Equal to the ratio gauss_sum(p, True) / gauss_sum(p, False), but
+    Equal to the ratio gauss_sum(fl, k, True) / gauss_sum(fl, k, False), but
     computed from the homology of the surgery block (see the module
     docstring): DenominatorZero when the normalizing sum vanishes at
     this coupling, exact zero when the observed charges are not in the
     image of the surgery block mod 2|k|, and a phase otherwise.
     """
-    fl = p.link
-    level = p.level
+    level = CouplingLevel.of(k)
     m = level.colour_modulus
     n = level.root_order
     surgery = fl.surgery()
     charges = [q if r == OBSERVED else 0 for q, r in zip(fl.charges, fl.roles)]
-    rows = [fl.linking[i] for i in surgery]
-    a = [[row[j] for j in surgery] for row in rows]
-    b = [sum(map(mul, row, charges)) for row in rows]
+    a = fl.select(surgery).linking
+    b = [sum(map(mul, fl.linking[i], charges)) for i in surgery]
     x, modulus = [0] * len(a), 1
     for prime in _prime_factors(m):  # 2 first: m is even
         q = math.gcd(m, prime ** m.bit_length())
@@ -299,21 +279,19 @@ def surgery_expectation(p: SurgeryPresentation) -> Invariant:
     return Invariant.from_quadratic(level, form_value(fl.linking, charges) - form_value(a, x))
 
 
-def blow_up(p: SurgeryPresentation, sign: int) -> SurgeryPresentation:
+def blow_up(fl: FramedLink, sign: int) -> FramedLink:
     """Append an unlinked surgery unknot with framing +1 or -1."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    fl = p.link
     names = set(fl.names)
     serial = fl.n + 1
     while f"E{serial}" in names:
         serial += 1
-    return SurgeryPresentation(fl.add_surgery([(0,) * fl.n], [sign], [f"E{serial}"]), p.level)
+    return fl.add_surgery([(0,) * fl.n], [sign], [f"E{serial}"])
 
 
-def blow_down(p: SurgeryPresentation, j: int) -> SurgeryPresentation:
+def blow_down(fl: FramedLink, j: int) -> FramedLink:
     """Remove an isolated +1- or -1-framed surgery component."""
-    fl = p.link
     if not 0 <= j < fl.n:
         raise IndexError(f"component index {j} out of range")
     if fl.roles[j] != SURGERY:
@@ -324,16 +302,15 @@ def blow_down(p: SurgeryPresentation, j: int) -> SurgeryPresentation:
         )
     if any(fl.linking[j][i] != 0 for i in range(fl.n) if i != j):
         raise NotIsolated(f"component {fl.names[j]} links other components")
-    return SurgeryPresentation(fl.select(i for i in range(fl.n) if i != j), p.level)
+    return fl.select(i for i in range(fl.n) if i != j)
 
 
-def handle_slide(p: SurgeryPresentation, i: int, j: int, sign: int) -> SurgeryPresentation:
+def handle_slide(fl: FramedLink, i: int, j: int, sign: int) -> FramedLink:
     """Slide component i over the surgery component j.
 
     Row and column i gain sign times row and column j; the new
     self-entry is L_ii + 2*sign*L_ij + L_jj.  Charges are untouched.
     """
-    fl = p.link
     if not 0 <= i < fl.n or not 0 <= j < fl.n:
         raise IndexError("component index out of range")
     if i == j:
@@ -347,18 +324,16 @@ def handle_slide(p: SurgeryPresentation, i: int, j: int, sign: int) -> SurgeryPr
     slid[i] = linking[i][i] + 2 * sign * linking[i][j] + linking[j][j]
     rows = [row[:i] + (e,) + row[i + 1 :] for row, e in zip(linking, slid)]
     rows[i] = tuple(slid)
-    link = FramedLink(tuple(rows), fl.charges, fl.roles, fl.names)
-    return SurgeryPresentation(link, p.level)
+    return FramedLink(tuple(rows), fl.charges, fl.roles, fl.names)
 
 
-def oracle_sums(p: SurgeryPresentation, max_terms: int = 10**6) -> tuple[complex, complex]:
+def oracle_sums(fl: FramedLink, k, max_terms: int = 10**6) -> tuple[complex, complex]:
     """Independent float evaluation of the numerator and denominator.
 
     Walks every colour vector directly and sums double-precision
     phases exp(-2*pi*i*Q/(4k)); shares no code with the exact engine.
     """
-    fl = p.link
-    k = p.level.k
+    k = CouplingLevel.of(k).k
     m = 2 * abs(k)
     surgery = [i for i, r in enumerate(fl.roles) if r == SURGERY]
     if m ** len(surgery) > max_terms:
@@ -387,9 +362,9 @@ def oracle_sums(p: SurgeryPresentation, max_terms: int = 10**6) -> tuple[complex
     return numerator, denominator
 
 
-def oracle_expectation(p: SurgeryPresentation, max_terms: int = 10**6) -> complex:
+def oracle_expectation(fl: FramedLink, k, max_terms: int = 10**6) -> complex:
     """Float ratio matching surgery_expectation within roundoff."""
-    numerator, denominator = oracle_sums(p, max_terms)
+    numerator, denominator = oracle_sums(fl, k, max_terms)
     if abs(denominator) < 1e-6:
         raise DenominatorZero("float normalizing sum is numerically zero")
     return numerator / denominator

@@ -119,7 +119,7 @@ def test_links_the_suites_build_pass_validate_unchanged(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(checks, "s3_expectation", recording(checks.s3_expectation, lambda a: a[0]))
-    monkeypatch.setattr(checks, "surgery_expectation", recording(checks.surgery_expectation, lambda a: a[0].link))
+    monkeypatch.setattr(checks, "surgery_expectation", recording(checks.surgery_expectation, lambda a: a[0]))
     monkeypatch.setattr(checks, "s1xs2_presentation", recording(checks.s1xs2_presentation, lambda a: a[0]))
     monkeypatch.setattr(checks, "t3_presentation", recording(checks.t3_presentation, lambda a: a[0]))
     for seed in range(3):

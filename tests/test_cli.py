@@ -20,7 +20,6 @@ import pytest
 import acsl
 from acsl import (
     FramedLink,
-    SurgeryPresentation,
     blow_up,
     handle_slide,
     s3_expectation,
@@ -486,13 +485,13 @@ def test_connected_twelve_component_surgery_answers_fast(tmp_path, capsys):
     # 12 blow-ups slid into one chain: 10**12 colourings at k=5, which
     # the enumeration could not finish; surgery on them leaves S^3.
     hopf = FramedLink.make(HOPF["linking"], charges=HOPF["charges"])
-    p = SurgeryPresentation.make(hopf, 5)
+    chain = hopf
     for _ in range(12):
-        p = blow_up(p, 1)
+        chain = blow_up(chain, 1)
     for i in range(2, 13):
-        p = handle_slide(p, i, i + 1, 1)
-    assert all(p.link.linking[i][i + 1] for i in range(2, 13))
-    path = write(tmp_path, "chain.json", link_to_json(p.link))
+        chain = handle_slide(chain, i, i + 1, 1)
+    assert all(chain.linking[i][i + 1] for i in range(2, 13))
+    path = write(tmp_path, "chain.json", link_to_json(chain))
     start = time.perf_counter()
     code, out, _ = run_json(capsys, ["surgery", "--input", path, "--k", "5"])
     assert time.perf_counter() - start < 1.0
@@ -589,7 +588,7 @@ def test_json_coordinates_are_integers_over_one():
     meridian = FramedLink.make(MERIDIAN["linking"], charges=MERIDIAN["charges"], roles=MERIDIAN["roles"])
     framed = FramedLink.make([[0, 1], [1, 3]], charges=[1, 0], roles=["observed", "surgery"])
     results = [s3_expectation(hopf, k) for k in (1, -3, 12, 100, 99991)]
-    results += [surgery_expectation(SurgeryPresentation.make(fl, k)) for fl in (meridian, framed) for k in (1, -5, 99991)]
+    results += [surgery_expectation(fl, k) for fl in (meridian, framed) for k in (1, -5, 99991)]
     assert any(inv.is_zero for inv in results) and not all(inv.is_zero for inv in results)
     for inv in results:
         out = invariant_to_json(inv)

@@ -6,7 +6,7 @@ import gc
 import random
 import tracemalloc
 
-from acsl import CycNum, Invariant, cyclotomic_polynomial
+from acsl import CycNum, Invariant, cyclotomic_polynomial, totient
 
 
 def random_cyc(rng: random.Random, n: int) -> CycNum:
@@ -42,7 +42,7 @@ def test_equal_values_have_equal_coordinates():
 def test_value_reads_retain_no_coordinates():
     orders = (4 * 61, 4 * 73)
     for n in orders:
-        cyclotomic_polynomial(n)  # the one cached entry per order, held for good
+        cyclotomic_polynomial(n)  # cached: the loop below builds no Phi_n
     gc.collect()
     tracemalloc.start()
     try:
@@ -55,3 +55,21 @@ def test_value_reads_retain_no_coordinates():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_phi_n_cache_is_bounded():
+    # 40 prime orders above 4000: each Phi_p holds p - 1 coordinates,
+    # about 32 KB of tuple, and at most 16 of them may stay cached.
+    primes = [p for p in range(4001, 5000) if all(p % d for d in range(2, 71))][:40]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p in primes:
+            cyclotomic_polynomial(p)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 40
+    assert retained < 20 * 8 * totient(primes[-1])

@@ -159,9 +159,21 @@ def test_odd_crossing_parity_rejected():
 
 
 def test_ambiguous_over_strand_rejected():
-    # a two-edge component that is the over-strand at both crossings
-    with pytest.raises(AmbiguousDiagram):
-        parse_pd("X(3,1,4,2) X(4,2,3,1) C: 1 2; 3 4")
+    # a two-edge component that is the over-strand at both crossings,
+    # alone and beside a kink component that orients on its own
+    assert parse_pd("X(5,6,6,5) C: 5 6").signs == (-1,)
+    for pd in (
+        "X(3,1,4,2) X(4,2,3,1) C: 1 2; 3 4",
+        "X(5,6,6,5) X(3,1,4,2) X(4,2,3,1) C: 1 2; 3 4; 5 6",
+        "X(3,1,4,2) X(5,6,6,5) X(4,2,3,1) C: 1 2; 3 4; 5 6",
+    ):
+        with pytest.raises(AmbiguousDiagram) as info:
+            parse_pd(pd)
+        assert str(info.value) == (
+            "over-strand orientation is not determined for crossings "
+            "[(3, 1, 4, 2), (4, 2, 3, 1)]; two-edge components that never "
+            "run under cannot be oriented from PD data"
+        )
 
 
 def test_undeclared_edge_rejected():

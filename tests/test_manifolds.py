@@ -59,41 +59,41 @@ def test_s1xsigma_genus_zero_meets_s1xs2():
 
 def test_s1xs2_presentation_shape():
     observed = FramedLink.make([[2]], charges=[1])
-    p = s1xs2_presentation(observed, (1,), 1)
-    assert p.link.linking == ((2, 1), (1, 0))
-    assert p.link.roles == ("observed", "surgery")
+    fl = s1xs2_presentation(observed, (1,))
+    assert fl.linking == ((2, 1), (1, 0))
+    assert fl.roles == ("observed", "surgery")
     with pytest.raises(ValueError):
-        s1xs2_presentation(observed, (1, 2), 1)
+        s1xs2_presentation(observed, (1, 2))
 
 
 def test_s1xs2_presentation_cross_check_examples():
     observed = FramedLink.make([[0]], charges=[1])
-    assert surgery_expectation(s1xs2_presentation(observed, (1,), 1)).is_zero
+    assert surgery_expectation(s1xs2_presentation(observed, (1,)), 1).is_zero
     observed2 = FramedLink.make([[0]], charges=[2])
-    inv = surgery_expectation(s1xs2_presentation(observed2, (1,), 1))
+    inv = surgery_expectation(s1xs2_presentation(observed2, (1,)), 1)
     assert inv.value == CycNum.one(4)
 
 
 def test_t3_presentation_shape():
-    p = t3_presentation(FramedLink.make([], charges=[]), [], 2)
-    assert p.link.n == 3
+    fl = t3_presentation(FramedLink.make([], charges=[]), [])
+    assert fl.n == 3
     from acsl import gauss_sum
 
-    assert gauss_sum(p, False).value == CycNum.from_coeffs(8, [64])  # (2k)^3
+    assert gauss_sum(fl, 2, False).value == CycNum.from_coeffs(8, [64])  # (2k)^3
     observed = FramedLink.make([[0]], charges=[1])
     with pytest.raises(ValueError):
-        t3_presentation(observed, [(1, 0)], 1)
+        t3_presentation(observed, [(1, 0)])
     with pytest.raises(ValueError):
-        t3_presentation(observed, [], 1)
+        t3_presentation(observed, [])
 
 
 def test_t3_cross_check_examples():
     observed = FramedLink.make([[0]], charges=[1])
-    p = t3_presentation(observed, [(1, 0, 0)], 1)
-    assert surgery_expectation(p).is_zero
+    fl = t3_presentation(observed, [(1, 0, 0)])
+    assert surgery_expectation(fl, 1).is_zero
     assert s1xsigma_expectation(HomologyData(1, (1, 0, 0), 0), 1).is_zero
-    p2 = t3_presentation(observed, [(2, 2, 2)], 1)
-    assert surgery_expectation(p2).value == CycNum.one(4)
+    fl2 = t3_presentation(observed, [(2, 2, 2)])
+    assert surgery_expectation(fl2, 1).value == CycNum.one(4)
 
 
 def random_observed_with_core(rng, n_target, k):
@@ -113,11 +113,11 @@ def test_s1xs2_surgery_agreement_randomized():
         for n0 in range(-4 * k, 4 * k + 1):
             for _ in range(5):
                 observed, linkings = random_observed_with_core(rng, n0, k)
-                p = s1xs2_presentation(observed, linkings, k)
+                fl = s1xs2_presentation(observed, linkings)
                 closed = s1xs2_expectation(
                     HomologyData(0, (n0,), quadratic_form(observed)), k
                 )
-                direct = surgery_expectation(p)
+                direct = surgery_expectation(fl, k)
                 assert direct.value == closed.value
                 assert direct.is_zero == closed.is_zero
                 assert direct.is_zero == (n0 % (2 * k) != 0)
@@ -137,10 +137,10 @@ def test_t3_surgery_agreement_randomized():
                 rows[0][c] = targets[c] - sum(
                     observed.charges[i] * rows[i][c] for i in range(1, observed.n)
                 )
-            p = t3_presentation(observed, rows, k)
+            fl = t3_presentation(observed, rows)
             closed = s1xsigma_expectation(
                 HomologyData(1, tuple(targets), quadratic_form(observed)), k
             )
-            direct = surgery_expectation(p)
+            direct = surgery_expectation(fl, k)
             assert direct.value == closed.value
             assert direct.is_zero == closed.is_zero

@@ -16,7 +16,6 @@ from acsl import (
     HomologyData,
     IntPoly,
     Invariant,
-    SurgeryPresentation,
 )
 
 HOPF = FramedLink(((0, 1), (1, 0)), (1, 1), ("observed", "observed"), ("C1", "C2"))
@@ -64,12 +63,6 @@ RECORDS = [
         Invariant.zero(12),
         "Invariant(order=12, exponent=5)",
         {"order": 12, "exponent": 5},
-    ),
-    (
-        lambda: SurgeryPresentation(HOPF, CouplingLevel(2)),
-        SurgeryPresentation(HOPF, CouplingLevel(-2)),
-        f"SurgeryPresentation(link={HOPF_REPR}, level=CouplingLevel(k=2))",
-        {"link": HOPF, "level": CouplingLevel(2)},
     ),
     (
         lambda: GaussSum(CycNum(4, (1, 0)), 4),

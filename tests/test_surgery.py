@@ -12,7 +12,6 @@ from acsl import (
     CycNum,
     DenominatorZero,
     FramedLink,
-    SurgeryPresentation,
     TermLimit,
     blow_down,
     blow_up,
@@ -25,6 +24,7 @@ from acsl import (
     surgery_expectation,
 )
 from acsl.checks import (
+    HOMOLOGY_COUPLINGS,
     kernel_witness_holds,
     random_kirby_move,
     random_presentation,
@@ -33,72 +33,64 @@ from acsl.checks import (
 from acsl.surgery import NotIsolated, NotSurgery, NotUnitFramed, _solve_local
 
 
-def presentation(matrix, charges=None, roles=None, k=1) -> SurgeryPresentation:
-    return SurgeryPresentation.make(
-        FramedLink.make(matrix, charges=charges, roles=roles), k
-    )
+def presentation(matrix, charges=None, roles=None) -> FramedLink:
+    return FramedLink.make(matrix, charges=charges, roles=roles)
 
 
-def random_surgery(rng, k=None, **kwargs) -> SurgeryPresentation:
+def random_surgery(rng, k=None, **kwargs) -> tuple[FramedLink, int]:
+    """A random presentation and its coupling; k, when not given, is drawn first."""
     if k is None:
         k = rng.choice([1, 2, 3])
-    return SurgeryPresentation.make(random_presentation(rng, **kwargs), k)
+    return random_presentation(rng, **kwargs), k
 
 
-def invariant_or_status(p: SurgeryPresentation):
+def invariant_or_status(fl: FramedLink, k):
     try:
-        return surgery_expectation(p).value
+        return surgery_expectation(fl, k).value
     except DenominatorZero:
         return "denominator-zero"
 
 
 def test_gauss_sum_zero_framed_unknot():
     for k in (1, 2, 3, -2):
-        p = presentation([[0]], roles=["surgery"], k=k)
-        out = gauss_sum(p, include_observed=False)
+        fl = presentation([[0]], roles=["surgery"])
+        out = gauss_sum(fl, k, include_observed=False)
         assert out.terms == 2 * abs(k)
         assert out.value == CycNum.from_coeffs(4 * abs(k), [2 * abs(k)])
 
 
 def test_gauss_sum_unit_framed_unknot():
-    p = presentation([[1]], roles=["surgery"], k=1)
-    value = gauss_sum(p, include_observed=False).value
+    fl = presentation([[1]], roles=["surgery"])
+    value = gauss_sum(fl, 1, include_observed=False).value
     assert value == CycNum.one(4) + root_power(4, -1)  # 1 - i
     assert abs(value.embed() - (1 - 1j)) < 1e-12
 
 
 def test_gauss_sum_reduces_to_s3_phase():
     hopf = FramedLink.make([[0, 1], [1, 0]], charges=[1, 1])
-    p = SurgeryPresentation.make(hopf, 1)
-    out = gauss_sum(p, include_observed=True)
+    out = gauss_sum(hopf, 1, include_observed=True)
     assert out.terms == 1
     assert out.value == CycNum.from_coeffs(4, [-1])
 
 
 def test_gauss_sum_ignores_observed_when_asked():
-    p = presentation(
-        [[0, 1], [1, 2]], charges=[3, 0], roles=["observed", "surgery"], k=2
-    )
-    bare = presentation([[0, 1], [1, 2]], roles=["observed", "surgery"], k=2)
+    fl = presentation([[0, 1], [1, 2]], charges=[3, 0], roles=["observed", "surgery"])
+    bare = presentation([[0, 1], [1, 2]], roles=["observed", "surgery"])
     assert (
-        gauss_sum(p, include_observed=False).value
-        == gauss_sum(bare, include_observed=True).value
+        gauss_sum(fl, 2, include_observed=False).value
+        == gauss_sum(bare, 2, include_observed=True).value
     )
 
 
 def test_surgery_expectation_meridian_cases():
     # S^1 x S^2 with a once-linked charge-1 meridian: vanishes
-    p = presentation(
-        [[0, 1], [1, 0]], charges=[1, 0], roles=["observed", "surgery"], k=1
-    )
-    inv = surgery_expectation(p)
+    fl = presentation([[0, 1], [1, 0]], charges=[1, 0], roles=["observed", "surgery"])
+    inv = surgery_expectation(fl, 1)
     assert inv.is_zero
     assert inv.value == CycNum.zero(4)
     # charge 2 passes the divisibility gate and gives the trivial phase
-    p2 = presentation(
-        [[0, 1], [1, 0]], charges=[2, 0], roles=["observed", "surgery"], k=1
-    )
-    inv2 = surgery_expectation(p2)
+    fl2 = presentation([[0, 1], [1, 0]], charges=[2, 0], roles=["observed", "surgery"])
+    inv2 = surgery_expectation(fl2, 1)
     assert not inv2.is_zero
     assert inv2.value == CycNum.one(4)
 
@@ -106,29 +98,26 @@ def test_surgery_expectation_meridian_cases():
 def test_surgery_expectation_empty_surgery_equals_s3():
     rng = random.Random(20)
     for _ in range(50):
-        p = random_surgery(rng, max_surgery=0)
-        assert (
-            surgery_expectation(p).value
-            == s3_expectation(p.link, p.level).value
-        )
+        fl, k = random_surgery(rng, max_surgery=0)
+        assert surgery_expectation(fl, k).value == s3_expectation(fl, k).value
 
 
 def test_denominator_zero():
     # +2-framed surgery unknot at k=1: 1 + zeta_4^-2 = 0
-    p = presentation([[2]], roles=["surgery"], k=1)
+    fl = presentation([[2]], roles=["surgery"])
     with pytest.raises(DenominatorZero):
-        surgery_expectation(p)
-    _, den = oracle_sums(p)
+        surgery_expectation(fl, 1)
+    _, den = oracle_sums(fl, 1)
     assert abs(den) < 1e-6
 
 
 def test_blow_up_examples():
-    empty = presentation([[0]], charges=[1], k=1)
+    empty = presentation([[0]], charges=[1])
     up = blow_up(empty, 1)
-    assert up.link.n == 2
-    assert up.link.roles[-1] == "surgery"
-    assert up.link.linking[1][1] == 1
-    assert gauss_sum(up, include_observed=False).value == CycNum.one(4) + root_power(4, -1)
+    assert up.n == 2
+    assert up.roles[-1] == "surgery"
+    assert up.linking[1][1] == 1
+    assert gauss_sum(up, 1, include_observed=False).value == CycNum.one(4) + root_power(4, -1)
     with pytest.raises(ValueError):
         blow_up(empty, 2)
 
@@ -136,90 +125,95 @@ def test_blow_up_examples():
 def test_blow_down_inverts_blow_up():
     rng = random.Random(21)
     for _ in range(25):
-        p = random_surgery(rng)
+        fl, _ = random_surgery(rng)
         sign = rng.choice([1, -1])
-        up = blow_up(p, sign)
-        down = blow_down(up, up.link.n - 1)
-        assert down.link == p.link
+        up = blow_up(fl, sign)
+        down = blow_down(up, up.n - 1)
+        assert down == fl
 
 
 def test_blow_down_preconditions():
-    p = presentation(
-        [[0, 0], [0, 3]], charges=[1, 0], roles=["observed", "surgery"], k=1
-    )
+    fl = presentation([[0, 0], [0, 3]], charges=[1, 0], roles=["observed", "surgery"])
     with pytest.raises(NotSurgery):
-        blow_down(p, 0)
+        blow_down(fl, 0)
     with pytest.raises(NotUnitFramed):
-        blow_down(p, 1)
-    linked = presentation(
-        [[0, 1], [1, 1]], charges=[1, 0], roles=["observed", "surgery"], k=1
-    )
+        blow_down(fl, 1)
+    linked = presentation([[0, 1], [1, 1]], charges=[1, 0], roles=["observed", "surgery"])
     with pytest.raises(NotIsolated):
         blow_down(linked, 1)
     with pytest.raises(IndexError):
-        blow_down(p, 5)
+        blow_down(fl, 5)
 
 
 def test_handle_slide_formula():
-    p = presentation(
+    fl = presentation(
         [[2, 1, 0], [1, -1, 3], [0, 3, 4]],
         charges=[2, 0, 0],
         roles=["observed", "surgery", "surgery"],
-        k=1,
     )
-    slid = handle_slide(p, 0, 1, 1)
-    assert slid.link.linking == ((3, 0, 3), (0, -1, 3), (3, 3, 4))
-    assert slid.link.charges == p.link.charges
+    slid = handle_slide(fl, 0, 1, 1)
+    assert slid.linking == ((3, 0, 3), (0, -1, 3), (3, 3, 4))
+    assert slid.charges == fl.charges
     # slide then inverse slide restores the matrix
-    assert handle_slide(slid, 0, 1, -1).link == p.link
+    assert handle_slide(slid, 0, 1, -1) == fl
 
 
 def test_handle_slide_over_isolated_zero_framed():
-    p = presentation(
-        [[1, 0], [0, 0]], charges=[1, 0], roles=["observed", "surgery"], k=2
-    )
-    slid = handle_slide(p, 0, 1, 1)
-    assert slid.link.linking == p.link.linking
+    fl = presentation([[1, 0], [0, 0]], charges=[1, 0], roles=["observed", "surgery"])
+    slid = handle_slide(fl, 0, 1, 1)
+    assert slid.linking == fl.linking
 
 
 def test_handle_slide_preconditions():
-    p = presentation(
-        [[0, 1], [1, 0]], charges=[1, 0], roles=["observed", "surgery"], k=1
-    )
+    fl = presentation([[0, 1], [1, 0]], charges=[1, 0], roles=["observed", "surgery"])
     with pytest.raises(NotSurgery):
-        handle_slide(p, 1, 0, 1)
+        handle_slide(fl, 1, 0, 1)
     with pytest.raises(ValueError):
-        handle_slide(p, 1, 1, 1)
+        handle_slide(fl, 1, 1, 1)
     with pytest.raises(ValueError):
-        handle_slide(p, 0, 1, 3)
+        handle_slide(fl, 0, 1, 3)
 
 
 def test_kirby_moves_preserve_invariant():
     rng = random.Random(22)
     for _ in range(150):
-        p = random_surgery(rng)
-        before = invariant_or_status(p)
-        q = p
+        fl, k = random_surgery(rng)
+        before = invariant_or_status(fl, k)
+        moved = fl
         for _ in range(rng.randint(1, 3)):
-            q = random_kirby_move(rng, q)
-        assert invariant_or_status(q) == before
+            moved = random_kirby_move(rng, moved)
+        assert invariant_or_status(moved, k) == before
+
+
+def test_one_move_sequence_preserves_every_coupling():
+    # The moves act on the link alone, so one moved link is checked
+    # against the original at every coupling.
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(60):
+        fl = random_presentation(rng)
+        moved = fl
+        for _ in range(rng.randint(1, 4)):
+            moved = random_kirby_move(rng, moved)
+        for k in HOMOLOGY_COUPLINGS:
+            before = invariant_or_status(fl, k)
+            assert invariant_or_status(moved, k) == before
+            outcomes.add(before if before == "denominator-zero" else before.is_zero)
+    assert outcomes == {"denominator-zero", True, False}
 
 
 def test_colour_periodicity_inside_presentations():
     rng = random.Random(27)
     for _ in range(100):
-        p = random_surgery(rng)
-        observed = list(p.link.observed())
+        fl, k = random_surgery(rng)
+        observed = list(fl.observed())
         if not observed:
             continue
         i = rng.choice(observed)
-        charges = list(p.link.charges)
-        charges[i] += p.level.colour_modulus
-        shifted = SurgeryPresentation.make(
-            FramedLink.make(p.link.linking, charges=charges, roles=p.link.roles),
-            p.level,
-        )
-        assert invariant_or_status(shifted) == invariant_or_status(p)
+        charges = list(fl.charges)
+        charges[i] += 2 * abs(k)
+        shifted = FramedLink.make(fl.linking, charges=charges, roles=fl.roles)
+        assert invariant_or_status(shifted, k) == invariant_or_status(fl, k)
 
 
 def test_satellite_equality_inside_presentations():
@@ -227,62 +221,54 @@ def test_satellite_equality_inside_presentations():
 
     rng = random.Random(28)
     for _ in range(100):
-        p = random_surgery(rng)
-        observed = list(p.link.observed())
+        fl, k = random_surgery(rng)
+        observed = list(fl.observed())
         if not observed:
             continue
-        expanded = satellite_expand(p.link, rng.choice(observed), rng.choice([1, -1]))
-        q = SurgeryPresentation.make(expanded, p.level)
-        assert invariant_or_status(q) == invariant_or_status(p)
-        full = SurgeryPresentation.make(simplicial_satellite(p.link), p.level)
-        assert invariant_or_status(full) == invariant_or_status(p)
+        expanded = satellite_expand(fl, rng.choice(observed), rng.choice([1, -1]))
+        assert invariant_or_status(expanded, k) == invariant_or_status(fl, k)
+        full = simplicial_satellite(fl)
+        assert invariant_or_status(full, k) == invariant_or_status(fl, k)
 
 
 def test_multiplicativity_under_split_union():
     rng = random.Random(23)
     for _ in range(40):
         k = rng.choice([1, 2, 3])
-        a = random_surgery(rng, k=k, max_surgery=2, max_observed=2)
-        b = random_surgery(rng, k=k, max_surgery=2, max_observed=2)
-        na, nb = a.link.n, b.link.n
+        a, _ = random_surgery(rng, k=k, max_surgery=2, max_observed=2)
+        b, _ = random_surgery(rng, k=k, max_surgery=2, max_observed=2)
+        na, nb = a.n, b.n
         matrix = [
             [
-                a.link.linking[i][j] if i < na and j < na
-                else b.link.linking[i - na][j - na] if i >= na and j >= na
+                a.linking[i][j] if i < na and j < na
+                else b.linking[i - na][j - na] if i >= na and j >= na
                 else 0
                 for j in range(na + nb)
             ]
             for i in range(na + nb)
         ]
-        union = SurgeryPresentation.make(
-            FramedLink.make(
-                matrix,
-                charges=a.link.charges + b.link.charges,
-                roles=a.link.roles + b.link.roles,
-            ),
-            k,
-        )
+        union = FramedLink.make(matrix, charges=a.charges + b.charges, roles=a.roles + b.roles)
         try:
-            separate = surgery_expectation(a).value * surgery_expectation(b).value
+            separate = surgery_expectation(a, k).value * surgery_expectation(b, k).value
         except DenominatorZero:
             with pytest.raises(DenominatorZero):
-                surgery_expectation(union)
+                surgery_expectation(union, k)
             continue
-        assert surgery_expectation(union).value == separate
+        assert surgery_expectation(union, k).value == separate
 
 
 def test_oracle_agreement():
     rng = random.Random(24)
     checked = 0
     for _ in range(80):
-        p = random_surgery(rng)
+        fl, k = random_surgery(rng)
         try:
-            exact = surgery_expectation(p)
+            exact = surgery_expectation(fl, k)
         except DenominatorZero:
-            _, den = oracle_sums(p)
+            _, den = oracle_sums(fl, k)
             assert abs(den) < 1e-6
             continue
-        assert abs(exact.numeric - oracle_expectation(p)) < 1e-9
+        assert abs(exact.numeric - oracle_expectation(fl, k)) < 1e-9
         checked += 1
     assert checked > 20
     # 2|k| with three or four prime factors: the solutions mod each prime
@@ -290,38 +276,36 @@ def test_oracle_agreement():
     outcomes = []
     for k, trials in ((15, 60), (-21, 60), (105, 6)):
         for _ in range(trials):
-            p = random_surgery(rng, k=k, max_surgery=2)
+            fl, _ = random_surgery(rng, k=k, max_surgery=2)
             try:
-                exact = surgery_expectation(p)
+                exact = surgery_expectation(fl, k)
             except DenominatorZero:
-                _, den = oracle_sums(p)
+                _, den = oracle_sums(fl, k)
                 assert abs(den) < 1e-6
                 outcomes.append("undefined")
                 continue
-            assert abs(exact.numeric - oracle_expectation(p)) < 1e-9
+            assert abs(exact.numeric - oracle_expectation(fl, k)) < 1e-9
             outcomes.append("zero" if exact.is_zero else "phase")
     assert {"undefined", "zero", "phase"} <= set(outcomes)
 
 
 def test_oracle_term_limit():
-    p = presentation(
-        [[0] * 5 for _ in range(5)], roles=["surgery"] * 5, k=3
-    )
+    fl = presentation([[0] * 5 for _ in range(5)], roles=["surgery"] * 5)
     with pytest.raises(TermLimit):
-        oracle_sums(p, max_terms=1000)
+        oracle_sums(fl, 3, max_terms=1000)
 
 
 def test_gauss_sum_term_limit():
     # a connected 5-component block walks 6**5 = 7776 vectors at k=3
-    p = presentation([[1] * 5 for _ in range(5)], roles=["surgery"] * 5, k=3)
+    fl = presentation([[1] * 5 for _ in range(5)], roles=["surgery"] * 5)
     with pytest.raises(TermLimit):
-        gauss_sum(p, False, max_terms=7775)
-    assert gauss_sum(p, False, max_terms=7776).terms == 7776
+        gauss_sum(fl, 3, False, max_terms=7775)
+    assert gauss_sum(fl, 3, False, max_terms=7776).terms == 7776
     # isolated blow-ups factor: 12 of them walk 12 * 10 vectors, not 10**12
-    q = presentation([[0]], charges=[1], k=5)
+    blown = presentation([[0]], charges=[1])
     for _ in range(12):
-        q = blow_up(q, 1)
-    assert gauss_sum(q, True, max_terms=120).terms == 10**12
+        blown = blow_up(blown, 1)
+    assert gauss_sum(blown, 5, True, max_terms=120).terms == 10**12
 
 
 def test_solve_local_matches_brute_force():
@@ -367,29 +351,28 @@ def test_homology_suite_reaches_every_outcome():
 
 
 def test_denominator_zero_carries_its_kernel_vector():
-    p = presentation([[2]], roles=["surgery"], k=1)
+    fl = presentation([[2]], roles=["surgery"])
     with pytest.raises(DenominatorZero) as info:
-        surgery_expectation(p)
+        surgery_expectation(fl, 1)
     assert info.value.kernel == (1,)
     assert str(info.value) == (
         "normalizing Gauss sum vanishes at k=1: the kernel vector [1] of the "
         "surgery block mod 2 has y.Ay != 0 mod 4"
     )
     # two surgery components around an observed one, at k=2
-    p = presentation(
+    fl = presentation(
         [[-3, 0, -3], [0, 1, 1], [-3, 1, 1]],
         charges=[0, 1, 0],
         roles=["surgery", "observed", "surgery"],
-        k=2,
     )
     with pytest.raises(DenominatorZero) as info:
-        surgery_expectation(p)
+        surgery_expectation(fl, 2)
     assert info.value.kernel == (3, 1)
-    assert kernel_witness_holds(p, (3, 1))
-    assert not kernel_witness_holds(p, (1, 0))  # A y != 0 mod 4
-    assert not kernel_witness_holds(p, (2, 2))  # y.Ay = 0 mod 8
-    assert not kernel_witness_holds(p, None)
-    _, den = oracle_sums(p)
+    assert kernel_witness_holds(fl, 2, (3, 1))
+    assert not kernel_witness_holds(fl, 2, (1, 0))  # A y != 0 mod 4
+    assert not kernel_witness_holds(fl, 2, (2, 2))  # y.Ay = 0 mod 8
+    assert not kernel_witness_holds(fl, 2, None)
+    _, den = oracle_sums(fl, 2)
     assert abs(den) < 1e-6
 
 
@@ -397,10 +380,10 @@ def test_every_undefined_presentation_has_a_checkable_witness():
     rng = random.Random(23)
     seen = 0
     for _ in range(400):
-        p = random_surgery(rng, k=rng.choice([1, 2, -2, 3, 4, 15, -21, 105]), max_surgery=4)
+        fl, k = random_surgery(rng, k=rng.choice([1, 2, -2, 3, 4, 15, -21, 105]), max_surgery=4)
         try:
-            surgery_expectation(p)
+            surgery_expectation(fl, k)
         except DenominatorZero as exc:
-            assert kernel_witness_holds(p, exc.kernel)
+            assert kernel_witness_holds(fl, k, exc.kernel)
             seen += 1
     assert seen >= 20
