@@ -34,21 +34,26 @@ from .linkdiagram import (
 
 
 # Largest |k| the evaluating commands accept.  Output carries phi(4|k|)
-# coordinates: s3 on the Hopf link writes 1.28 MB at this limit.
+# coordinates: s3 on the Hopf link writes 1.28 MB at this limit and at
+# most 1.65 MB, at k=99991.  A fresh s3 process takes 0.6 s at worst on a
+# 2-core VM, at k=90090, where 4|k| has six prime factors.
 K_LIMIT = 100_000
 
 # Most trials check runs: 10**4 trials of kirby, the slowest suite that
 # walks no colour lattice, take 1.2-1.9 s on a 2-core VM.
 TRIALS_LIMIT = 10**4
 
-# Largest |k| of check --suite homology, whose unskipped trials build
-# coordinates of order 4|k| (100 trials near it: under 1 s on a 2-core VM).
+# Largest |k| of check --suite homology, whose unskipped trials multiply
+# coordinate vectors of order 4|k|, quadratic in phi(4|k|).  100 trials
+# take 0.1 s at k=19997 or 20000 on a 2-core VM, but 9 s at k=15015 and
+# 15 s at k=19635, which have five odd prime factors.
 # The oracle suite shares K_LIMIT; the others read no coordinates.
 HOMOLOGY_K_LIMIT = 20_000
 
 # Largest check --max-terms: the library's own cap on the colour vectors
-# of one enumeration.  At the cap, on a 2-core VM, the float walk of a
-# trial takes 5.5 s and each exact walk 0.9 s.
+# of one enumeration.  At the cap, on a 2-core VM, a dense six-component
+# surgery block at k=5 takes 12-18 s in the float walk of a trial (one to
+# three observed components) and about 3 s in each exact walk.
 MAX_TERMS_LIMIT = 10**6
 
 # Most surgery components surgery takes: elimination is cubic in them, once

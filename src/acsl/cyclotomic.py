@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 from ._record import Record
 
@@ -75,53 +74,57 @@ class IntPoly(Record):
         return out
 
 
-@lru_cache(maxsize=16)
-def cyclotomic_polynomial(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial Phi_n.
+def _times_phi(n: int, coeffs: list[int], inverse: bool = False) -> list[int]:
+    """Multiply coeffs in place by Phi_n, or by 1/Phi_n when inverse, as a
+    power series truncated at len(coeffs); n > 1.
 
-    For n > 1, Phi_n is the Moebius product of the binomials 1 - x**d
-    over the divisors d of n with n/d squarefree, each raised to
-    mu(n/d).  Every factor is a unit in Z[[x]], so the product is built
-    in integers as a power series truncated at degree phi(n): a factor
-    1 - x**d subtracts a shifted copy, and its inverse
-    1 + x**d + x**2d + ... adds one.
+    Phi_n is the Moebius product of the binomials 1 - x**d over the
+    divisors d of n with n/d squarefree, each raised to mu(n/d).  Every
+    factor is a unit in Z[[x]]: 1 - x**d subtracts a shifted copy, and
+    its inverse 1 + x**d + x**2d + ... adds one.
     """
+    primes = _prime_factors(n)
+    size = len(coeffs)
+    for mask in range(1 << len(primes)):
+        chosen = [p for bit, p in enumerate(primes) if mask >> bit & 1]
+        d = n // math.prod(chosen)
+        if (len(chosen) % 2 == 0) != inverse:
+            for i in range(size - 1, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:
+            for i in range(d, size):
+                coeffs[i] += coeffs[i - d]
+    return coeffs
+
+
+def cyclotomic_polynomial(n: int) -> IntPoly:
+    """The n-th cyclotomic polynomial Phi_n."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n == 1:
         return IntPoly((-1, 1))
-    degree = totient(n)
-    coeffs = [1] + [0] * degree
-    primes = _prime_factors(n)
-    for mask in range(1 << len(primes)):
-        chosen = [p for bit, p in enumerate(primes) if mask >> bit & 1]
-        d = n // math.prod(chosen)
-        if len(chosen) % 2 == 0:
-            for i in range(degree, d - 1, -1):
-                coeffs[i] -= coeffs[i - d]
-        else:
-            for i in range(d, degree + 1):
-                coeffs[i] += coeffs[i - d]
-    return IntPoly(tuple(coeffs))
+    return IntPoly(_times_phi(n, [1] + [0] * totient(n)))
 
 
 def _reduce(n: int, raw: list[int]) -> list[int]:
     """Reduce integer coordinates of any degree modulo Phi_n, padded to phi(n).
 
-    Only the nonzero lower terms of the monic Phi_n are subtracted, so
-    sparse moduli such as Phi_4000 = Phi_10(x**400) reduce quickly.
+    For n > 1, Phi_n is palindromic, so the quotient of raw by Phi_n,
+    reversed, is the reversed top of raw divided by Phi_n as a power
+    series; the remainder is raw less the low phi(n) coordinates of
+    Phi_n times the quotient.  Modulo Phi_1 = x - 1 the value is the
+    sum of the coordinates.  No Phi_n is formed.
     """
-    phi = cyclotomic_polynomial(n).coeffs
-    deg = len(phi) - 1
-    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
-    work = raw + [0] * (deg - len(raw))
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, pj in terms:
-                work[i - deg + j] -= c * pj
-    del work[deg:]
-    return work
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    if n == 1:
+        return [sum(raw)]
+    deg = totient(n)
+    if len(raw) <= deg:
+        return raw + [0] * (deg - len(raw))
+    quotient = _times_phi(n, raw[: deg - 1 : -1], inverse=True)[::-1]
+    low = _times_phi(n, (quotient + [0] * deg)[:deg])
+    return [r - c for r, c in zip(raw, low)]
 
 
 class CycNum(Record):
@@ -191,7 +194,13 @@ class CycNum(Record):
 
 
 def root_power(n: int, e: int) -> CycNum:
-    """Canonical representative of zeta_n**(e mod n)."""
+    """Canonical representative of zeta_n**(e mod n).
+
+    For even n, zeta_n**(n/2) = -1 folds the exponent below n/2.
+    """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    return CycNum(n, tuple(_reduce(n, [0] * (e % n) + [1])))
+    e, sign = e % n, 1
+    if n % 2 == 0 and e >= n // 2:
+        e, sign = e - n // 2, -1
+    return CycNum(n, tuple(_reduce(n, [0] * e + [sign])))

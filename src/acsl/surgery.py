@@ -25,15 +25,14 @@ y -> y.Ay/m mod 2 is additive and vanishes on the odd part, so the
 undefined test checks generators of the 2-part kernel alone.  The cost
 is cubic in the number of surgery components per prime of m.
 
-gauss_sum evaluates either sum exactly by walking the colour lattice in
-reflected mixed-radix Gray-code order, updating the quadratic form
-incrementally as one coordinate changes, and tallying integer counts
-per phase residue mod 4|k|; a single cyclotomic reduction of the count
-histogram then yields the exact value.  Surgery components that never
+gauss_sum evaluates either sum exactly: surgery components that never
 interact (no linking between them) factor into independent
-sub-lattices.  Its cost grows as (2|k|)**s, so it serves only as the
-exact oracle that surgery_expectation is tested against, beside the
-float oracle oracle_sums.
+sub-lattices, and each is walked colour vector by colour vector,
+tallying integer counts per phase exponent mod 4|k| that one
+cyclotomic reduction turns into the exact value.  Its cost grows as
+(2|k|)**s, so it serves only as the exact oracle that
+surgery_expectation is tested against, beside the float oracle
+oracle_sums.
 """
 
 from __future__ import annotations
@@ -105,52 +104,6 @@ def _groups(indices: tuple[int, ...], linking) -> list[list[int]]:
     return groups
 
 
-def _histogram(block, linear, m: int, n_mod: int) -> list[int]:
-    """Counts per residue of q(c) = c.Bc + 2 lin.c over Z_m^s, s >= 1.
-
-    Enumerates colour vectors in reflected mixed-radix Gray-code order
-    (Knuth's loopless algorithm); each step changes one coordinate by
-    one, so the form updates in O(s) integer operations.
-    """
-    s = len(linear)
-    hist = [0] * n_mod
-    c = [0] * s
-    value = 0
-    hist[0] += 1
-    focus = list(range(s + 1))
-    direction = [1] * s
-    while True:
-        j = focus[0]
-        focus[0] = 0
-        if j == s:
-            break
-        old = c[j]
-        new = old + direction[j]
-        cross = linear[j]
-        row = block[j]
-        for i in range(s):
-            if i != j:
-                cross += row[i] * c[i]
-        value += row[j] * (new * new - old * old) + 2 * (new - old) * cross
-        c[j] = new
-        if new == 0 or new == m - 1:
-            direction[j] = -direction[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-        hist[value % n_mod] += 1
-    return hist
-
-
-def _phase_combination(hist: list[int], level: CouplingLevel) -> CycNum:
-    """Sum of hist[e] * zeta**(-sign(k) e) as one cyclotomic reduction."""
-    n = level.root_order
-    raw = [0] * n
-    for e, count in enumerate(hist):
-        if count:
-            raw[(-level.sign * e) % n] += count
-    return CycNum.from_coeffs(n, raw)
-
-
 def gauss_sum(
     fl: FramedLink, k, include_observed: bool, max_terms: int = 10**6
 ) -> GaussSum:
@@ -180,12 +133,11 @@ def gauss_sum(
 
     for group in groups:
         block = fl.select(group).linking
-        linear = [
-            sum(fl.linking[i][j] * qj for j, qj in enumerate(charges))
-            for i in group
-        ]
-        hist = _histogram(block, linear, m, n)
-        value = value * _phase_combination(hist, level)
+        linear = [sum(map(mul, fl.linking[i], charges)) for i in group]
+        tally = [0] * n
+        for c in itertools.product(range(m), repeat=len(group)):
+            tally[-level.sign * (form_value(block, c) + 2 * sum(map(mul, linear, c))) % n] += 1
+        value = value * CycNum.from_coeffs(n, tally)
     return GaussSum(value, m ** len(surgery))
 
 

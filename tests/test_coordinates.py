@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import gc
 import random
+import time
 import tracemalloc
 
 from acsl import CycNum, Invariant, cyclotomic_polynomial, totient
@@ -41,8 +43,6 @@ def test_equal_values_have_equal_coordinates():
 
 def test_value_reads_retain_no_coordinates():
     orders = (4 * 61, 4 * 73)
-    for n in orders:
-        cyclotomic_polynomial(n)  # cached: the loop below builds no Phi_n
     gc.collect()
     tracemalloc.start()
     try:
@@ -59,7 +59,8 @@ def test_value_reads_retain_no_coordinates():
 
 def test_phi_n_cache_is_bounded():
     # 40 prime orders above 4000: each Phi_p holds p - 1 coordinates,
-    # about 32 KB of tuple, and at most 16 of them may stay cached.
+    # about 32 KB of tuple.  Phi_n is built afresh on every call, so
+    # building all 40 may keep less than 20 of them alive.
     primes = [p for p in range(4001, 5000) if all(p % d for d in range(2, 71))][:40]
     gc.collect()
     tracemalloc.start()
@@ -73,3 +74,12 @@ def test_phi_n_cache_is_bounded():
         tracemalloc.stop()
     assert len(primes) == 40
     assert retained < 20 * 8 * totient(primes[-1])
+
+
+def test_many_prime_root_reduces_fast():
+    # n = 60060 = 4 * 3 * 5 * 7 * 11 * 13: Phi_n has 5,371 nonzero
+    # coefficients, and zeta_n**(n - 1) lies far above phi(n) = 11,520.
+    start = time.perf_counter()
+    value = Invariant(60060, 60059).value
+    assert time.perf_counter() - start < 1.0
+    assert abs(value.embed() - cmath.exp(-2j * cmath.pi / 60060)) < 1e-9

@@ -17,6 +17,7 @@ from acsl import (
 )
 
 
+from acsl.cyclotomic import _reduce
 from helpers import numeric_cyclotomic
 
 
@@ -33,8 +34,45 @@ def test_cyclotomic_polynomial_small_values():
 
 
 def test_cyclotomic_polynomial_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        cyclotomic_polynomial(0)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_nonpositive_orders_rejected(n):
+    for build in (
+        lambda: CycNum.from_coeffs(n, []),
+        lambda: CycNum.from_coeffs(n, [1, 2, 3, 4, 5]),
+        lambda: CycNum.zero(n),
+        lambda: CycNum.one(n),
+        lambda: root_power(n, 1),
+    ):
+        with pytest.raises(ValueError, match="order must be positive"):
+            build()
+
+
+def _long_division_remainder(raw: list[int], modulus: tuple[int, ...]) -> list[int]:
+    """Schoolbook remainder of raw by the monic modulus, padded to its degree."""
+    deg = len(modulus) - 1
+    work = raw + [0] * max(0, deg - len(raw))
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for j, p in enumerate(modulus):
+                work[i - deg + j] -= c * p
+    return work[:deg]
+
+
+@pytest.mark.parametrize("n, trials", [(1, 40), (2, 40), (3, 40), (4, 40), (60, 40), (420, 10), (4620, 2)])
+def test_reduce_matches_long_division(n, trials):
+    rng = random.Random(n)
+    modulus = cyclotomic_polynomial(n).coeffs
+    lengths = [0, len(modulus) - 1, len(modulus), 2 * n + 3]
+    lengths += [rng.randint(0, 2 * n + 3) for _ in range(trials)]
+    for length in lengths:
+        raw = [rng.randint(-9, 9) for _ in range(length)]
+        assert _reduce(n, raw) == _long_division_remainder(raw, modulus), (n, length)
 
 
 @pytest.mark.parametrize("n", list(range(1, 33)))
