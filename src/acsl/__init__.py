@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cyclotomic": (
         "CycNum",
-        "IntPoly",
         "OrderMismatch",
         "cyclotomic_polynomial",
         "root_power",
@@ -31,8 +30,6 @@ _EXPORTS = {
         "DiagramError",
         "FramedLink",
         "PDError",
-        "crossing_sign",
-        "crossing_signs",
         "linking_matrix",
         "mirror_diagram",
         "parse_crossings",
@@ -67,9 +64,8 @@ _EXPORTS = {
     "manifolds": (
         "HomologyData",
         "s1xs2_expectation",
-        "s1xs2_presentation",
         "s1xsigma_expectation",
-        "t3_presentation",
+        "s1xsigma_presentation",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

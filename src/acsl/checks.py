@@ -13,13 +13,7 @@ from operator import mul
 
 from .invariants import CouplingLevel, quadratic_form, s3_expectation, simplicial_satellite
 from .linkdiagram import OBSERVED, SURGERY, FramedLink, default_names
-from .manifolds import (
-    HomologyData,
-    s1xs2_expectation,
-    s1xs2_presentation,
-    s1xsigma_expectation,
-    t3_presentation,
-)
+from .manifolds import HomologyData, s1xsigma_expectation, s1xsigma_presentation
 from .surgery import (
     DenominatorZero,
     TermLimit,
@@ -284,58 +278,39 @@ def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int) -> dict:
     return _report(suite, trials, seed, k, failures, **counts, skipped=skipped)
 
 
-def _unit_first(fl: FramedLink) -> FramedLink:
-    """fl with charge 1 on its first component."""
-    return FramedLink(fl.linking, (1, *fl.charges[1:]), fl.roles, fl.names)
-
-
-def _observed_with_pairing(rng: random.Random, target: int, bound: int):
-    """Observed block with a unit charge plus linkings hitting the target."""
-    fl = _unit_first(random_link(rng, max_components=3, charge_bound=bound))
-    linkings = [rng.randint(-2, 2) for _ in range(fl.n)]
-    linkings[0] = target - sum(map(mul, fl.charges[1:], linkings[1:]))
-    return fl, linkings
-
-
-def check_s1xs2_agreement(k: int, pairing: int, rng: random.Random) -> str | None:
-    """One surgery-vs-closed-form comparison; None when they agree."""
-    observed, linkings = _observed_with_pairing(rng, pairing, 2 * abs(k) + 2)
-    fl = s1xs2_presentation(observed, linkings)
-    closed = s1xs2_expectation(HomologyData(0, (pairing,), quadratic_form(observed)), k)
-    direct = surgery_expectation(fl, k)
-    if direct != closed:
-        return f"k={k} pairing={pairing} {observed.linking} {observed.charges}"
-    if direct.is_zero != (pairing % (2 * abs(k)) != 0):
-        return f"k={k} pairing={pairing}: vanishing gate mismatch"
-    return None
-
-
-def check_t3_agreement(k: int, targets, rng: random.Random) -> str | None:
-    """One 3-torus comparison; None when surgery and closed form agree."""
-    observed = _unit_first(random_link(rng, max_components=2, charge_bound=2 * abs(k)))
-    rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(observed.n)]
-    for c in range(3):
-        rows[0][c] = targets[c] - sum(observed.charges[i] * rows[i][c] for i in range(1, observed.n))
-    fl = t3_presentation(observed, rows)
-    closed = s1xsigma_expectation(HomologyData(1, tuple(targets), quadratic_form(observed)), k)
+def check_agreement(k: int, targets, rng: random.Random) -> str | None:
+    """One surgery-vs-closed-form comparison in S^1 x Sigma_g of genus
+    len(targets) // 2; None when they agree.  The first observed
+    component has charge 1, and its linkings, drawn row by row with the
+    others, are then set so that the pairings hit the targets."""
+    genus = len(targets) // 2
+    max_components, charge_bound = (3, 2 * abs(k) + 2) if genus == 0 else (2, 2 * abs(k))
+    drawn = random_link(rng, max_components, charge_bound=charge_bound)
+    observed = FramedLink(drawn.linking, (1, *drawn.charges[1:]), drawn.roles, drawn.names)
+    rows = [[rng.randint(-2, 2) for _ in targets] for _ in range(observed.n)]
+    for c, target in enumerate(targets):
+        rows[0][c] = target - sum(observed.charges[i] * rows[i][c] for i in range(1, observed.n))
+    fl = s1xsigma_presentation(observed, zip(*rows))
+    closed = s1xsigma_expectation(HomologyData(genus, tuple(targets), quadratic_form(observed)), k)
     direct = surgery_expectation(fl, k)
     if direct != closed:
         return f"k={k} targets={targets} {observed.linking} {observed.charges}"
+    if direct.is_zero != any(target % (2 * abs(k)) for target in targets):
+        return f"k={k} targets={targets}: vanishing gate mismatch"
     return None
 
 
 def suite_manifolds(trials: int = 200, seed: int = 0, k: int | None = None) -> dict:
-    """Surgery ratios match the closed-form evaluators, zeros included."""
+    """Surgery ratios match the closed-form evaluators, zeros included:
+    S^1 x S^2 on even trials, the 3-torus on odd ones."""
     rng = _Rng(seed)
     failures = []
     for t in range(trials):
         kk = rng.choice(_couplings(k))
-        if t % 2 == 0:
-            pairing = rng.randint(-4 * abs(kk), 4 * abs(kk))
-            failure = check_s1xs2_agreement(kk, pairing, rng)
-        else:
-            targets = [rng.randint(-2 * abs(kk), 2 * abs(kk)) for _ in range(3)]
-            failure = check_t3_agreement(kk, targets, rng)
+        genus = t % 2
+        bound = (2 if genus else 4) * abs(kk)
+        targets = [rng.randint(-bound, bound) for _ in range(2 * genus + 1)]
+        failure = check_agreement(kk, targets, rng)
         if failure:
             failures.append(f"trial {t}: {failure}")
     return _report("manifolds", trials, seed, k, failures)

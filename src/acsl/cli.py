@@ -35,8 +35,9 @@ from .linkdiagram import (
 
 # Largest |k| the evaluating commands accept.  Output carries phi(4|k|)
 # coordinates: s3 on the Hopf link writes 1.28 MB at this limit and at
-# most 1.65 MB, at k=99991.  A fresh s3 process takes 0.6 s at worst on a
-# 2-core VM, at k=90090, where 4|k| has six prime factors.
+# most 1.65 MB, at k=99991.  A fresh s3 process takes about 0.2 s at worst
+# on a 2-core VM, at k=99991; 0.12-0.18 s at k=15015, 30030 and 90090,
+# where 4|k| has five or six prime factors.
 K_LIMIT = 100_000
 
 # Most trials check runs: 10**4 trials of kirby, the slowest suite that
@@ -44,9 +45,9 @@ K_LIMIT = 100_000
 TRIALS_LIMIT = 10**4
 
 # Largest |k| of check --suite homology, whose unskipped trials multiply
-# coordinate vectors of order 4|k|, quadratic in phi(4|k|).  100 trials
-# take 0.1 s at k=19997 or 20000 on a 2-core VM, but 9 s at k=15015 and
-# 15 s at k=19635, which have five odd prime factors.
+# coordinate vectors of order 4|k|, walking the nonzero coordinates of
+# both factors.  100 trials take 0.1-0.2 s at k=19997 or 20000 on a 2-core
+# VM, and 0.5-0.7 s at k=15015 and 19635, which have five odd prime factors.
 # The oracle suite shares K_LIMIT; the others read no coordinates.
 HOMOLOGY_K_LIMIT = 20_000
 
@@ -136,11 +137,6 @@ def link_from_object(obj) -> FramedLink:
     return fl
 
 
-def load_link_json(path: str) -> FramedLink:
-    """Load and validate a link file (matrix or diagram route)."""
-    return link_from_object(_read_json(path))
-
-
 def homology_from_object(obj):
     from . import HomologyData
 
@@ -191,7 +187,7 @@ def invariant_to_json(inv: Invariant) -> dict:
     return {
         "zero": inv.is_zero,
         "order": inv.order,
-        "phase_exponent": inv.phase_exponent(),
+        "phase_exponent": inv.exponent,
         "value": cyc_to_json(inv.value),
         "numeric": [numeric.real, numeric.imag],
     }

@@ -46,34 +46,6 @@ def totient(n: int) -> int:
     return n
 
 
-def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return coeffs[:end]
-
-
-class IntPoly(Record):
-    """Dense integer polynomial; coeffs[i] multiplies x**i.
-
-    The zero polynomial is the empty tuple; otherwise the leading
-    coefficient is nonzero.
-    """
-
-    def __init__(self, coeffs) -> None:
-        self.__dict__["coeffs"] = _trim(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: complex) -> complex:
-        out: complex = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
 def _times_phi(n: int, coeffs: list[int], inverse: bool = False) -> list[int]:
     """Multiply coeffs in place by Phi_n, or by 1/Phi_n when inverse, as a
     power series truncated at len(coeffs); n > 1.
@@ -97,13 +69,14 @@ def _times_phi(n: int, coeffs: list[int], inverse: bool = False) -> list[int]:
     return coeffs
 
 
-def cyclotomic_polynomial(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial Phi_n."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """The coefficients of the n-th cyclotomic polynomial Phi_n,
+    constant term first."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n == 1:
-        return IntPoly((-1, 1))
-    return IntPoly(_times_phi(n, [1] + [0] * totient(n)))
+        return (-1, 1)
+    return tuple(_times_phi(n, [1] + [0] * totient(n)))
 
 
 def _reduce(n: int, raw: list[int]) -> list[int]:
@@ -170,10 +143,11 @@ class CycNum(Record):
 
     def __mul__(self, other: CycNum) -> CycNum:
         self._check(other)
+        terms = [(j, b) for j, b in enumerate(other.num) if b]
         prod = [0] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.num):
+                for j, b in terms:
                     prod[i + j] += a * b
         return CycNum.from_coeffs(self.n, prod)
 
@@ -196,11 +170,19 @@ class CycNum(Record):
 def root_power(n: int, e: int) -> CycNum:
     """Canonical representative of zeta_n**(e mod n).
 
-    For even n, zeta_n**(n/2) = -1 folds the exponent below n/2.
+    For even n, zeta_n**(n/2) = -1 folds the exponent below n/2.  With
+    r = rad(n) and t = n/r, Phi_n(x) = Phi_r(x**t) and phi(n) = t*phi(r),
+    so zeta_n**e = zeta_n**(e mod t) * y**(e // t) with y = x**t: the
+    power of y is reduced modulo Phi_r, and its phi(r) coordinates land
+    on the coordinates congruent to e mod t.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     e, sign = e % n, 1
     if n % 2 == 0 and e >= n // 2:
         e, sign = e - n // 2, -1
-    return CycNum(n, tuple(_reduce(n, [0] * e + [sign])))
+    r = math.prod(_prime_factors(n))
+    t = n // r
+    num = [0] * totient(n)
+    num[e % t :: t] = _reduce(r, [0] * (e // t) + [sign])
+    return CycNum(n, tuple(num))

@@ -77,10 +77,6 @@ class Invariant(Record):
     def is_zero(self) -> bool:
         return self.exponent is None
 
-    def phase_exponent(self) -> int | None:
-        """Exponent e of the value zeta_order**e, or None for exact zero."""
-        return self.exponent
-
     @property
     def value(self) -> CycNum:
         """The exact element of Z[zeta_order]."""

@@ -77,10 +77,6 @@ class Diagram(Record):
         self.__dict__["component_edges"] = component_edges
         self.__dict__["signs"] = signs
 
-    @property
-    def n_components(self) -> int:
-        return len(self.component_edges)
-
 
 class FramedLink(Record):
     """Symmetric integer linking matrix with framings on the diagonal.
@@ -337,18 +333,6 @@ def _analyze(crossings, component_edges) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def crossing_signs(d: Diagram) -> tuple[int, ...]:
-    """Signs of all crossings, in crossing order."""
-    return d.signs
-
-
-def crossing_sign(d: Diagram, crossing_index: int) -> int:
-    """Sign of one crossing (+1 when the over-strand runs d -> b)."""
-    if not 0 <= crossing_index < len(d.signs):
-        raise IndexError(f"crossing index {crossing_index} out of range")
-    return d.signs[crossing_index]
-
-
 def strand_orientations(d: Diagram):
     """Per crossing: ((under_in, under_out), (over_in, over_out))."""
     return tuple([
@@ -368,7 +352,7 @@ def linking_matrix(d: Diagram, framings) -> FramedLink:
         raise DiagramError(
             f"framings: expected \"blackboard\" or a list of integers, got {framings!r}"
         )
-    n = d.n_components
+    n = len(d.component_edges)
     component_of = {e: ci for ci, comp in enumerate(d.component_edges) for e in comp}
     # Each sign is added twice, so halving leaves the writhe on the
     # diagonal and half the signed count off it, which is even because
@@ -407,7 +391,7 @@ def reverse_component_diagram(d: Diagram, j: int) -> Diagram:
     under-strand still enters at the first slot; the reversed edge
     sequence takes care of the over-strand direction.
     """
-    if not 0 <= j < d.n_components:
+    if not 0 <= j < len(d.component_edges):
         raise IndexError(f"component index {j} out of range")
     edges = set(d.component_edges[j])
     crossings = []

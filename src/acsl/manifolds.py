@@ -6,8 +6,9 @@ link vanishes unless every pairing of the link with the 2g+1 surface
 generators is divisible by 2|k|; when none obstructs, it is the pure
 phase of the link's framed self-intersection form, exactly as in S^3.
 
-S^1 x S^2 is presented by surgery on a 0-framed unknot; the 3-torus by
-three 0-framed components with zero mutual linking.
+S^1 x Sigma_g is presented by surgery on 2g+1 0-framed components with
+zero mutual linking: a 0-framed unknot for S^1 x S^2, three components
+for the 3-torus.
 """
 
 from __future__ import annotations
@@ -58,34 +59,16 @@ def s1xs2_expectation(h: HomologyData, k) -> Invariant:
     return s1xsigma_expectation(h, k)
 
 
-def _extended(observed: FramedLink, columns, framings) -> FramedLink:
-    """Append 0-charge surgery components S1, S2, ... with the given
-    linkings, validated since the caller supplies them."""
-    names = [f"S{c + 1}" for c in range(len(framings))]
-    return validate(observed.add_surgery(columns, framings, names))
-
-
-def s1xs2_presentation(observed: FramedLink, core_linkings) -> FramedLink:
-    """Surgery presentation of S^1 x S^2: a 0-framed unknot whose core
-    links observed component i core_linkings[i] times."""
-    core_linkings = tuple(core_linkings)
-    if len(core_linkings) != observed.n:
-        raise ValueError(
-            f"core_linkings has length {len(core_linkings)}, "
-            f"expected {observed.n}"
-        )
-    return _extended(observed, [core_linkings], [0])
-
-
-def t3_presentation(observed: FramedLink, linkings) -> FramedLink:
-    """Surgery presentation of the 3-torus: three 0-framed components
-    with zero mutual linking; linkings[i] gives observed component i's
-    linking numbers with the three of them."""
-    rows = [tuple(row) for row in linkings]
-    if len(rows) != observed.n:
-        raise ValueError(f"linkings has {len(rows)} rows, expected {observed.n}")
-    for i, row in enumerate(rows):
-        if len(row) != 3:
-            raise ValueError(f"linkings[{i}] has length {len(row)}, expected 3")
-    columns = [tuple(rows[i][c] for i in range(observed.n)) for c in range(3)]
-    return _extended(observed, columns, [0, 0, 0])
+def s1xsigma_presentation(observed: FramedLink, columns) -> FramedLink:
+    """Surgery presentation of S^1 x Sigma_g: 2g+1 0-framed components
+    S1, S2, ... with zero mutual linking; columns[c][i] is the linking of
+    component c with observed component i (validated).  One column gives
+    S^1 x S^2, three the 3-torus."""
+    columns = [tuple(col) for col in columns]
+    if len(columns) % 2 == 0:
+        raise ValueError(f"expected an odd number of columns, got {len(columns)}")
+    for c, col in enumerate(columns):
+        if len(col) != observed.n:
+            raise ValueError(f"columns[{c}] has length {len(col)}, expected {observed.n}")
+    names = [f"S{c + 1}" for c in range(len(columns))]
+    return validate(observed.add_surgery(columns, [0] * len(columns), names))

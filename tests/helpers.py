@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from acsl import Diagram, FramedLink, crossing_signs, satellite_expand, strand_orientations
+from acsl import Diagram, FramedLink, satellite_expand, strand_orientations
 from acsl.checks import random_link, random_presentation  # noqa: F401  re-exported
 
 # kind -> (signs, u stays over at second crossing?)
@@ -87,7 +87,7 @@ def linking_by_over_strand(d: Diagram, i: int, j: int) -> int:
         for e in comp:
             comp_of[e] = ci
     total = 0
-    for x, sign in zip(d.crossings, crossing_signs(d)):
+    for x, sign in zip(d.crossings, d.signs):
         if comp_of[x[0]] == j and comp_of[x[1]] == i:
             total += sign
     return total

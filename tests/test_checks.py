@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import random
+import time
 import warnings
+from operator import mul
 
 import pytest
 
@@ -100,9 +102,29 @@ def test_generated_links_pass_validate_unchanged():
         _assert_valid_as_built(checks.random_link(rng, max_components=6, charge_bound=40))
         _assert_valid_as_built(checks.random_presentation(rng))
         _assert_valid_as_built(checks.random_presentation(rng, max_surgery=5, entry_bound=9))
-        fl, linkings = checks._observed_with_pairing(rng, rng.randint(-20, 20), 7)
-        _assert_valid_as_built(fl)
-        assert fl.charges[0] == 1 and all(type(x) is int for x in linkings)
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_check_agreement_realises_its_targets(monkeypatch, genus):
+    """The observed block has charge 1 first, and the columns handed to
+    the builder pair with the charges to the targets exactly."""
+    built, builder = [], checks.s1xsigma_presentation
+
+    def presentation(observed, columns):
+        columns = list(columns)
+        built.append((observed, columns))
+        return builder(observed, columns)
+
+    monkeypatch.setattr(checks, "s1xsigma_presentation", presentation)
+    rng = checks._Rng(40 + genus)
+    for _ in range(100):
+        k = rng.choice((1, 2, 3, -2, 7))
+        targets = [rng.randint(-20, 20) for _ in range(2 * genus + 1)]
+        assert checks.check_agreement(k, targets, rng) is None
+        observed, columns = built[-1]
+        _assert_valid_as_built(observed)
+        assert observed.charges[0] == 1 and observed.n <= (3 if genus == 0 else 2)
+        assert [sum(map(mul, observed.charges, col)) for col in columns] == targets
 
 
 def test_links_the_suites_build_pass_validate_unchanged(monkeypatch):
@@ -120,8 +142,7 @@ def test_links_the_suites_build_pass_validate_unchanged(monkeypatch):
 
     monkeypatch.setattr(checks, "s3_expectation", recording(checks.s3_expectation, lambda a: a[0]))
     monkeypatch.setattr(checks, "surgery_expectation", recording(checks.surgery_expectation, lambda a: a[0]))
-    monkeypatch.setattr(checks, "s1xs2_presentation", recording(checks.s1xs2_presentation, lambda a: a[0]))
-    monkeypatch.setattr(checks, "t3_presentation", recording(checks.t3_presentation, lambda a: a[0]))
+    monkeypatch.setattr(checks, "s1xsigma_presentation", recording(checks.s1xsigma_presentation, lambda a: a[0]))
     for seed in range(3):
         for k in (None, 2, -3):
             checks.suite_periodicity(100, seed, k)
@@ -146,3 +167,13 @@ def test_homology_suite_keeps_its_counts(capsys, seed):
     report = json.loads(capsys.readouterr().out)
     assert (code, report["passed"]) == (0, True)
     assert (report["undefined"], report["zero"], report["skipped"]) == HOMOLOGY_COUNTS[seed]
+
+
+def test_homology_cell_at_five_odd_primes_is_fast(capsys):
+    # 4 * 19635 = 4 * 3 * 5 * 7 * 11 * 17: every compared value has
+    # phi = 15360 coordinates, and each check multiplies two of them.
+    start = time.perf_counter()
+    code = run(["check", "--suite", "homology", "--k", "19635", "--trials", "100", "--seed", "0"])
+    assert time.perf_counter() - start < 5.0
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["passed"], report["skipped"]) == (0, True, 97)

@@ -30,11 +30,11 @@ from acsl.cli import (
     MAX_TERMS_LIMIT,
     TRIALS_LIMIT,
     InputError,
+    _read_json,
     build_parser,
     invariant_to_json,
     link_from_object,
     link_to_json,
-    load_link_json,
     parse_args,
     run,
 )
@@ -414,7 +414,7 @@ def test_undecodable_input_is_input_error(tmp_path, capsys, content):
 def test_missing_charges_warns(tmp_path):
     path = write(tmp_path, "u.json", {"linking": [[0]]})
     with pytest.warns(UserWarning, match="charges missing"):
-        fl = load_link_json(path)
+        fl = link_from_object(_read_json(path))
     assert fl.charges == (0,)
 
 
@@ -496,7 +496,7 @@ def test_connected_twelve_component_surgery_answers_fast(tmp_path, capsys):
     code, out, _ = run_json(capsys, ["surgery", "--input", path, "--k", "5"])
     assert time.perf_counter() - start < 1.0
     assert code == 0
-    assert out["phase_exponent"] == s3_expectation(hopf, 5).phase_exponent()
+    assert out["phase_exponent"] == s3_expectation(hopf, 5).exponent
 
 
 def test_s3_serialises_with_one_root_power(monkeypatch):

@@ -17,7 +17,7 @@ def random_cyc(rng: random.Random, n: int) -> CycNum:
 
 
 def assert_normal(x: CycNum) -> None:
-    assert len(x.num) == cyclotomic_polynomial(x.n).degree
+    assert len(x.num) == len(cyclotomic_polynomial(x.n)) - 1
     assert all(type(c) is int for c in x.num)
 
 

@@ -27,10 +27,10 @@ def random_cyc(rng: random.Random, n: int, terms: int = 4) -> CycNum:
 
 
 def test_cyclotomic_polynomial_small_values():
-    assert cyclotomic_polynomial(1).coeffs == (-1, 1)
-    assert cyclotomic_polynomial(2).coeffs == (1, 1)
-    assert cyclotomic_polynomial(4).coeffs == (1, 0, 1)
-    assert cyclotomic_polynomial(12).coeffs == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(2) == (1, 1)
+    assert cyclotomic_polynomial(4) == (1, 0, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
 def test_cyclotomic_polynomial_rejects_nonpositive():
@@ -67,7 +67,7 @@ def _long_division_remainder(raw: list[int], modulus: tuple[int, ...]) -> list[i
 @pytest.mark.parametrize("n, trials", [(1, 40), (2, 40), (3, 40), (4, 40), (60, 40), (420, 10), (4620, 2)])
 def test_reduce_matches_long_division(n, trials):
     rng = random.Random(n)
-    modulus = cyclotomic_polynomial(n).coeffs
+    modulus = cyclotomic_polynomial(n)
     lengths = [0, len(modulus) - 1, len(modulus), 2 * n + 3]
     lengths += [rng.randint(0, 2 * n + 3) for _ in range(trials)]
     for length in lengths:
@@ -79,9 +79,9 @@ def test_reduce_matches_long_division(n, trials):
 def test_cyclotomic_polynomial_matches_numeric_product(n):
     exact = cyclotomic_polynomial(n)
     oracle = numeric_cyclotomic(n)
-    assert exact.degree == totient(n)
-    assert len(oracle) == exact.degree + 1
-    for a, b in zip(exact.coeffs, oracle):
+    assert len(exact) - 1 == totient(n)
+    assert len(oracle) == len(exact)
+    for a, b in zip(exact, oracle):
         assert abs(a - b) < 1e-8
 
 
@@ -100,7 +100,7 @@ def test_cyclotomic_polynomials_multiply_to_binomial():
         product = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                product = _poly_mul(product, list(cyclotomic_polynomial(d).coeffs))
+                product = _poly_mul(product, list(cyclotomic_polynomial(d)))
         assert product == [-1] + [0] * (n - 1) + [1], n
 
 
@@ -117,6 +117,50 @@ def test_canonical_form_uniqueness():
         for e in range(n):
             monomial = CycNum.from_coeffs(n, [0] * e + [1])
             assert monomial == root_power(n, e)
+
+
+# Orders whose radical is much smaller than the order (4 * 3**7,
+# 400000, prime powers, square-rich products) and 4 * 99991, whose
+# radical is n/2.
+LARGE_ORDERS = (4 * 3**7, 400_000, 2**15, 3**5 * 5**3 * 7, 4 * 3**4 * 5**3, 4 * 49 * 11**2, 4 * 99991, 4 * 16384)
+
+
+def test_root_power_matches_the_reduced_monomial():
+    """root_power reduces modulo Phi_rad(n) and spreads the result;
+    from_coeffs reduces the monomial modulo Phi_n itself."""
+    rng = random.Random(14)
+    grid = [(n, e) for n in range(1, 400) for e in range(n) if e == n - 1 or rng.random() < 0.1]
+    for n in LARGE_ORDERS:
+        grid += [(n, n - 1), (n, rng.randrange(n))]
+    # Six primes: the oracle's reduction takes about 1 s per exponent.
+    grid.append((4 * 90090, 4 * 90090 - 1))
+    for n, e in grid:
+        assert root_power(n, e) == CycNum.from_coeffs(n, [0] * e + [1]), (n, e)
+
+
+def _schoolbook(a: CycNum, b: CycNum) -> list[int]:
+    """The full product of the coordinate vectors, reduced by long division."""
+    prod = [0] * (len(a.num) + len(b.num) - 1)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            prod[i + j] += x * y
+    return _long_division_remainder(prod, cyclotomic_polynomial(a.n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 60, 105, 420])
+def test_products_match_the_schoolbook_product(n):
+    rng = random.Random(n)
+    deg = totient(n)
+
+    def draw(density):
+        return CycNum(n, tuple([rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(deg)]))
+
+    for _ in range(30):
+        for da, db in ((1.0, 1.0), (1.0, 0.05), (0.05, 1.0), (0.05, 0.05), (0.0, 1.0)):
+            a, b = draw(da), draw(db)
+            assert list((a * b).num) == _schoolbook(a, b)
+    dense = root_power(n, n - 1)
+    assert dense * CycNum.one(n) == dense == CycNum.one(n) * dense
 
 
 def test_arithmetic_examples():

@@ -231,11 +231,11 @@ def test_brute_force_agreement():
 
 def test_phase_exponent_reads_the_field():
     root = Invariant(12, 17)
-    assert root.phase_exponent() == 5 and not root.is_zero
+    assert root.exponent == 5 and not root.is_zero
     assert root.value == root_power(12, 5)
     assert abs(root.numeric - cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
     zero = Invariant.zero(8)
-    assert zero.phase_exponent() is None and zero.is_zero
+    assert zero.exponent is None and zero.is_zero
     assert zero.value == CycNum.zero(8)
     assert zero.numeric == 0
 
@@ -259,8 +259,8 @@ def test_zero_is_no_root_of_unity_without_a_scan(monkeypatch):
         raise AssertionError("the phase was recovered from coordinates")
 
     monkeypatch.setattr(invariants, "root_power", scanned)
-    assert Invariant.zero(400).phase_exponent() is None
-    assert s3_expectation(HOPF, 1000).phase_exponent() == 3998
+    assert Invariant.zero(400).exponent is None
+    assert s3_expectation(HOPF, 1000).exponent == 3998
 
 
 def test_simplicial_satellite_matches_the_expansion_loop():

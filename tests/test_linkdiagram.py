@@ -15,8 +15,6 @@ from acsl import (
     DiagramError,
     FramedLink,
     PDError,
-    crossing_sign,
-    crossing_signs,
     linking_matrix,
     mirror_diagram,
     parse_pd,
@@ -33,9 +31,9 @@ KINKED_HOPF = "X(4,1,3,6) X(1,4,2,3) X(2,6,5,5) C: 1 2 5 6; 3 4"
 
 def test_parse_positive_hopf():
     d = parse_pd(POSITIVE_HOPF)
-    assert d.n_components == 2
+    assert len(d.component_edges) == 2
     assert len(d.crossings) == 2
-    assert crossing_signs(d) == (1, 1)
+    assert d.signs == (1, 1)
     assert linking_matrix(d, [0, 0]).linking == ((0, 1), (1, 0))
 
 
@@ -43,14 +41,14 @@ def test_parse_negative_hopf():
     # Same crossings mirrored: the unique consistent over-strand
     # orientation makes both signs negative.
     d = parse_pd(NEGATIVE_HOPF)
-    assert crossing_signs(d) == (-1, -1)
+    assert d.signs == (-1, -1)
     assert linking_matrix(d, [0, 0]).linking == ((0, -1), (-1, 0))
 
 
 def test_crossing_sign_matches_over_strand_count():
     for text in (POSITIVE_HOPF, NEGATIVE_HOPF, KINKED_HOPF):
         d = parse_pd(text)
-        fl = linking_matrix(d, [0] * d.n_components)
+        fl = linking_matrix(d, [0] * len(d.component_edges))
         total = linking_by_over_strand(d, 0, 1) + linking_by_over_strand(d, 1, 0)
         assert fl.linking[0][1] * 2 == total
         # each over-strand count alone already equals the linking number
@@ -86,32 +84,25 @@ def test_parse_bad_token():
 
 def test_kinks():
     positive = parse_pd("X(1,1,2,2) C: 1 2")
-    assert crossing_signs(positive) == (1,)
+    assert positive.signs == (1,)
     assert linking_matrix(positive, "blackboard").linking == ((1,),)
     negative = parse_pd("X(1,2,2,1) C: 1 2")
-    assert crossing_signs(negative) == (-1,)
+    assert negative.signs == (-1,)
     assert linking_matrix(negative, "blackboard").linking == ((-1,),)
 
 
 def test_trefoil_signs_all_equal():
     d = parse_pd(TREFOIL)
-    signs = crossing_signs(d)
+    signs = d.signs
     assert signs == (-1, -1, -1)
     assert linking_matrix(d, "blackboard").linking == ((-3,),)
-
-
-def test_crossing_sign_index_error():
-    d = parse_pd(POSITIVE_HOPF)
-    assert crossing_sign(d, 0) == 1
-    with pytest.raises(IndexError):
-        crossing_sign(d, 2)
 
 
 def test_mirror_negates_all_signs():
     for text in (POSITIVE_HOPF, TREFOIL, KINKED_HOPF):
         d = parse_pd(text)
         mirrored = mirror_diagram(d)
-        assert crossing_signs(mirrored) == tuple(-s for s in crossing_signs(d))
+        assert mirrored.signs == tuple(-s for s in d.signs)
 
 
 def test_reverse_component_flips_row_and_column():
@@ -201,7 +192,7 @@ def test_clasp_templates():
     base = parse_pd(POSITIVE_HOPF)
     for kind, signs in CLASP_SIGNS.items():
         out = insert_clasp(base, over_edge=1, under_edge=3, kind=kind)
-        assert crossing_signs(out)[-2:] == signs
+        assert out.signs[-2:] == signs
         delta = {"r2+": 0, "r2-": 0, "hopf+": 1, "hopf-": -1}[kind]
         assert linking_matrix(out, [0, 0]).linking[0][1] == 1 + delta
 
@@ -340,7 +331,7 @@ def test_analysis_cache_is_bounded(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(acsl.linkdiagram, "_analyze", analyze)
         assert linking_matrix(d, [0, 0]).linking == ((0, 150), (150, 0))
-        assert crossing_signs(d) == (1,) * 300
+        assert d.signs == (1,) * 300
 
     gc.collect()
     tracemalloc.start()

@@ -13,10 +13,9 @@ from acsl import (
     quadratic_form,
     root_power,
     s1xs2_expectation,
-    s1xs2_presentation,
     s1xsigma_expectation,
+    s1xsigma_presentation,
     surgery_expectation,
-    t3_presentation,
 )
 from helpers import random_link
 
@@ -59,40 +58,50 @@ def test_s1xsigma_genus_zero_meets_s1xs2():
 
 def test_s1xs2_presentation_shape():
     observed = FramedLink.make([[2]], charges=[1])
-    fl = s1xs2_presentation(observed, (1,))
+    fl = s1xsigma_presentation(observed, [(1,)])
     assert fl.linking == ((2, 1), (1, 0))
     assert fl.roles == ("observed", "surgery")
-    with pytest.raises(ValueError):
-        s1xs2_presentation(observed, (1, 2))
+    assert fl.names == ("C1", "S1")
+    with pytest.raises(ValueError, match=r"columns\[0\] has length 2, expected 1"):
+        s1xsigma_presentation(observed, [(1, 2)])
 
 
 def test_s1xs2_presentation_cross_check_examples():
     observed = FramedLink.make([[0]], charges=[1])
-    assert surgery_expectation(s1xs2_presentation(observed, (1,)), 1).is_zero
+    assert surgery_expectation(s1xsigma_presentation(observed, [(1,)]), 1).is_zero
     observed2 = FramedLink.make([[0]], charges=[2])
-    inv = surgery_expectation(s1xs2_presentation(observed2, (1,)), 1)
+    inv = surgery_expectation(s1xsigma_presentation(observed2, [(1,)]), 1)
     assert inv.value == CycNum.one(4)
 
 
 def test_t3_presentation_shape():
-    fl = t3_presentation(FramedLink.make([], charges=[]), [])
+    fl = s1xsigma_presentation(FramedLink.make([], charges=[]), [(), (), ()])
     assert fl.n == 3
+    assert fl.linking == ((0, 0, 0),) * 3
+    assert fl.names == ("S1", "S2", "S3")
     from acsl import gauss_sum
 
     assert gauss_sum(fl, 2, False).value == CycNum.from_coeffs(8, [64])  # (2k)^3
     observed = FramedLink.make([[0]], charges=[1])
-    with pytest.raises(ValueError):
-        t3_presentation(observed, [(1, 0)])
-    with pytest.raises(ValueError):
-        t3_presentation(observed, [])
+    fl = s1xsigma_presentation(observed, [(1,), (2,), (3,)])
+    assert fl.linking == ((0, 1, 2, 3), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"columns\[2\] has length 0, expected 1"):
+        s1xsigma_presentation(observed, [(1,), (0,), ()])
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_presentation_rejects_even_column_counts(count):
+    observed = FramedLink.make([[0]], charges=[1])
+    with pytest.raises(ValueError, match=f"odd number of columns, got {count}"):
+        s1xsigma_presentation(observed, [(0,)] * count)
 
 
 def test_t3_cross_check_examples():
     observed = FramedLink.make([[0]], charges=[1])
-    fl = t3_presentation(observed, [(1, 0, 0)])
+    fl = s1xsigma_presentation(observed, [(1,), (0,), (0,)])
     assert surgery_expectation(fl, 1).is_zero
     assert s1xsigma_expectation(HomologyData(1, (1, 0, 0), 0), 1).is_zero
-    fl2 = t3_presentation(observed, [(2, 2, 2)])
+    fl2 = s1xsigma_presentation(observed, [(2,), (2,), (2,)])
     assert surgery_expectation(fl2, 1).value == CycNum.one(4)
 
 
@@ -113,7 +122,7 @@ def test_s1xs2_surgery_agreement_randomized():
         for n0 in range(-4 * k, 4 * k + 1):
             for _ in range(5):
                 observed, linkings = random_observed_with_core(rng, n0, k)
-                fl = s1xs2_presentation(observed, linkings)
+                fl = s1xsigma_presentation(observed, [linkings])
                 closed = s1xs2_expectation(
                     HomologyData(0, (n0,), quadratic_form(observed)), k
                 )
@@ -137,7 +146,7 @@ def test_t3_surgery_agreement_randomized():
                 rows[0][c] = targets[c] - sum(
                     observed.charges[i] * rows[i][c] for i in range(1, observed.n)
                 )
-            fl = t3_presentation(observed, rows)
+            fl = s1xsigma_presentation(observed, zip(*rows))
             closed = s1xsigma_expectation(
                 HomologyData(1, tuple(targets), quadratic_form(observed)), k
             )

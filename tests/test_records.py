@@ -14,7 +14,6 @@ from acsl import (
     FramedLink,
     GaussSum,
     HomologyData,
-    IntPoly,
     Invariant,
 )
 
@@ -25,15 +24,9 @@ HOPF_REPR = (
 )
 
 # (build, a different value, repr, keyword arguments of build()).  The
-# builders normalise or derive where the class does: trailing zeros,
-# exponent mod order, pairings to a tuple, a diagram's crossing signs.
+# builders normalise or derive where the class does: exponent mod
+# order, pairings to a tuple, a diagram's crossing signs.
 RECORDS = [
-    (
-        lambda: IntPoly([-1, 1, 0]),
-        IntPoly((-1, 0, 1)),
-        "IntPoly(coeffs=(-1, 1))",
-        {"coeffs": (-1, 1)},
-    ),
     (
         lambda: CycNum(4, (1, -3)),
         CycNum(4, (1, 3)),
