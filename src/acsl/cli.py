@@ -44,17 +44,17 @@ K_LIMIT = 100_000
 # walks no colour lattice, take 1.2-1.9 s on a 2-core VM.
 TRIALS_LIMIT = 10**4
 
-# Largest |k| of check --suite homology, whose unskipped trials multiply
-# coordinate vectors of order 4|k|, walking the nonzero coordinates of
-# both factors.  100 trials take 0.1-0.2 s at k=19997 or 20000 on a 2-core
-# VM, and 0.5-0.7 s at k=15015 and 19635, which have five odd prime factors.
-# The oracle suite shares K_LIMIT; the others read no coordinates.
+# Largest |k| of check --suite homology, whose unskipped trials reduce three
+# coordinate vectors of order 4|k| each.  100 trials take 0.1-0.2 s at
+# k=19997 or 20000 on a 2-core VM, and 0.4-0.6 s at k=15015 and 19635,
+# which have five odd prime factors.  The oracle suite shares K_LIMIT; the
+# others read no coordinates.
 HOMOLOGY_K_LIMIT = 20_000
 
 # Largest check --max-terms: the library's own cap on the colour vectors
 # of one enumeration.  At the cap, on a 2-core VM, a dense six-component
-# surgery block at k=5 takes 12-18 s in the float walk of a trial (one to
-# three observed components) and about 3 s in each exact walk.
+# surgery block at k=5 takes 10-16 s in the float walk of a trial (one to
+# three observed components) and about 2.7 s in each exact walk.
 MAX_TERMS_LIMIT = 10**6
 
 # Most surgery components surgery takes: elimination is cubic in them, once
@@ -143,12 +143,14 @@ def homology_from_object(obj):
     if not isinstance(obj, dict) or "genus" not in obj:
         raise InputError("top level: homology input needs 'genus', 'N', 'q_self'")
     genus = _expect_int(obj["genus"], "genus")
+    if genus < 0:
+        raise InputError(f"genus: must be nonnegative, got {genus}")
     pairings = [_expect_int(x, f"N[{i}]") for i, x in enumerate(_expect_list(obj.get("N"), "N"))]
     self_form = _expect_int(obj.get("q_self", 0), "q_self")
     try:
         return HomologyData(genus, tuple(pairings), self_form)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    except ValueError as exc:  # the pairing count
+        raise InputError(f"N: {exc}") from exc
 
 
 def _read_json(path: str):

@@ -5,11 +5,12 @@ power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
 cyclotomic polynomial.  That form is unique, so equality of elements is
 plain structural equality and the invariant comparisons downstream are
 exact.  Every value the library builds -- zero, a root of unity
-zeta_{4|k|}**e or an exact Gauss sum -- lies in this ring, and no
-evaluator divides, so the ring operations suffice: one convolution
-(CycNum.__mul__) and one reduction (_reduce) serve every product.  The
-float embedding (embed) serves only the test oracles; reported floats
-come from the phase exponent (Invariant.numeric).
+zeta_{4|k|}**e or an exact Gauss sum -- lies in this ring, and is
+built by one reduction (_reduce) of integer coordinates: no library
+path divides or multiplies two values.  CycNum.__mul__ is the ring
+product for callers.  The float embedding (embed) serves only the test
+oracles; reported floats come from the phase exponent
+(Invariant.numeric).
 """
 
 from __future__ import annotations
@@ -85,14 +86,19 @@ def _reduce(n: int, raw: list[int]) -> list[int]:
     For n > 1, Phi_n is palindromic, so the quotient of raw by Phi_n,
     reversed, is the reversed top of raw divided by Phi_n as a power
     series; the remainder is raw less the low phi(n) coordinates of
-    Phi_n times the quotient.  Modulo Phi_1 = x - 1 the value is the
-    sum of the coordinates.  No Phi_n is formed.
+    Phi_n times the quotient.  For even n, x**(n/2) = -1 first folds raw
+    below n/2, and top zeros are popped off raw.  Modulo Phi_1 = x - 1
+    the value is the sum of the coordinates.  No Phi_n is formed.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n == 1:
         return [sum(raw)]
     deg = totient(n)
+    if n % 2 == 0 and len(raw) > (half := n // 2):
+        raw = [sum(raw[i::n]) - sum(raw[i + half :: n]) for i in range(half)]
+    while len(raw) > deg and not raw[-1]:
+        raw.pop()
     if len(raw) <= deg:
         return raw + [0] * (deg - len(raw))
     quotient = _times_phi(n, raw[: deg - 1 : -1], inverse=True)[::-1]
@@ -159,12 +165,10 @@ class CycNum(Record):
         return CycNum.from_coeffs(self.n, raw)
 
     def embed(self) -> complex:
-        """Numeric value at zeta_n = exp(2*pi*i/n), double precision."""
-        z = cmath.exp(2j * cmath.pi / self.n)
-        out: complex = 0
-        for c in reversed(self.num):
-            out = out * z + c
-        return out
+        """Numeric value at zeta_n = exp(2*pi*i/n), double precision; each
+        power is its own exp and fsum adds them, so no rounding compounds."""
+        terms = [c * cmath.exp(2j * cmath.pi * i / self.n) for i, c in enumerate(self.num) if c]
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def root_power(n: int, e: int) -> CycNum:

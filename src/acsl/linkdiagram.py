@@ -175,8 +175,11 @@ def validate(fl: FramedLink) -> FramedLink:
         for i, q in enumerate(charges):
             if not isinstance(q, int) or isinstance(q, bool):
                 raise DiagramError(f"charges[{i}] is not an integer: {q!r}")
-        if not sized:
-            raise DiagramError("charges, roles and names must match the matrix size")
+        for field in ("charges", "roles", "names"):
+            if len(entries := getattr(fl, field)) != n:
+                raise DiagramError(
+                    f"{field}: expected {n} entries, one per linking row, got {len(entries)}"
+                )
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise DiagramError(f"linking[{i}] has length {len(row)}, expected {n}")

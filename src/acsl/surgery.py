@@ -25,11 +25,10 @@ y -> y.Ay/m mod 2 is additive and vanishes on the odd part, so the
 undefined test checks generators of the 2-part kernel alone.  The cost
 is cubic in the number of surgery components per prime of m.
 
-gauss_sum evaluates either sum exactly: surgery components that never
-interact (no linking between them) factor into independent
-sub-lattices, and each is walked colour vector by colour vector,
-tallying integer counts per phase exponent mod 4|k| that one
-cyclotomic reduction turns into the exact value.  Its cost grows as
+gauss_sum evaluates either sum exactly: it walks the colour vectors
+of all s surgery components once, tallying integer counts per phase
+exponent mod 4|k|, observed form included, and one cyclotomic
+reduction turns the tally into the exact value.  Its cost grows as
 (2|k|)**s, so it serves only as the exact oracle that
 surgery_expectation is tested against, beside the float oracle
 oracle_sums.
@@ -85,25 +84,6 @@ class GaussSum(Record):
         self.__dict__["terms"] = terms
 
 
-def _groups(indices: tuple[int, ...], linking) -> list[list[int]]:
-    """Partition surgery components into linking-connected groups."""
-    remaining = set(indices)
-    groups = []
-    while remaining:
-        seed = remaining.pop()
-        group = [seed]
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            linked = [j for j in remaining if linking[i][j] != 0]
-            for j in linked:
-                remaining.remove(j)
-                group.append(j)
-                frontier.append(j)
-        groups.append(sorted(group))
-    return groups
-
-
 def gauss_sum(
     fl: FramedLink, k, include_observed: bool, max_terms: int = 10**6
 ) -> GaussSum:
@@ -113,32 +93,27 @@ def gauss_sum(
     components keep their charges, or are set to 0 when
     include_observed is false.  An empty surgery link gives the single
     phase of the observed charges.  Raises TermLimit, before walking
-    anything, when the sub-lattices to walk hold more than max_terms
-    colour vectors in total.
+    anything, when there are more than max_terms colour vectors.
     """
     level = CouplingLevel.of(k)
     m = level.colour_modulus
     n = level.root_order
     surgery = fl.surgery()
-    groups = _groups(surgery, fl.linking)
-    walked = sum(m ** len(group) for group in groups)
-    if walked > max_terms:
-        raise TermLimit(f"{walked} colour vectors exceed the cap of {max_terms}")
+    terms = m ** len(surgery)
+    if terms > max_terms:
+        raise TermLimit(f"{terms} colour vectors exceed the cap of {max_terms}")
     charges = [
         q if include_observed and r == OBSERVED else 0
         for q, r in zip(fl.charges, fl.roles)
     ]
-
-    value = Invariant.from_quadratic(level, form_value(fl.linking, charges)).value
-
-    for group in groups:
-        block = fl.select(group).linking
-        linear = [sum(map(mul, fl.linking[i], charges)) for i in group]
-        tally = [0] * n
-        for c in itertools.product(range(m), repeat=len(group)):
-            tally[-level.sign * (form_value(block, c) + 2 * sum(map(mul, linear, c))) % n] += 1
-        value = value * CycNum.from_coeffs(n, tally)
-    return GaussSum(value, m ** len(surgery))
+    # q.Lq for colours c on the surgery block A: q.Cq + 2 c.b + c.Ac
+    observed = form_value(fl.linking, charges)
+    linear = [2 * sum(map(mul, fl.linking[i], charges)) for i in surgery]
+    block = fl.select(surgery).linking
+    tally = [0] * n
+    for c in itertools.product(range(m), repeat=len(surgery)):
+        tally[-level.sign * (observed + form_value(block, c) + sum(map(mul, linear, c))) % n] += 1
+    return GaussSum(CycNum.from_coeffs(n, tally), terms)
 
 
 def _back_substitute(rows, pivots, z: list[int], q: int) -> list[int] | None:
@@ -309,8 +284,9 @@ def oracle_sums(fl: FramedLink, k, max_terms: int = 10**6) -> tuple[complex, com
             for b in range(fl.n):
                 q_full += charged[a] * fl.linking[a][b] * charged[b]
                 q_surg += bare[a] * fl.linking[a][b] * bare[b]
-        numerator += cmath.exp(-2j * math.pi * q_full / (4 * k))
-        denominator += cmath.exp(-2j * math.pi * q_surg / (4 * k))
+        # reduced mod 4k first: exp of a large angle keeps fewer digits
+        numerator += cmath.exp(-2j * math.pi * (q_full % (4 * k)) / (4 * k))
+        denominator += cmath.exp(-2j * math.pi * (q_surg % (4 * k)) / (4 * k))
     return numerator, denominator
 
 

@@ -151,6 +151,19 @@ def test_homology_commands(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"genus": 1, "N": [2, -2], "q_self": 5}, "N: expected 3 pairings for genus 1, got 2"),
+        ({"genus": -1, "N": [], "q_self": 0}, "genus: must be nonnegative, got -1"),
+    ],
+)
+def test_homology_errors_name_the_field(tmp_path, capsys, obj, message):
+    path = write(tmp_path, "h.json", obj)
+    code, out, err = run_json(capsys, ["s1xsigma", "--input", path, "--k", "1"])
+    assert (code, out, err) == (2, None, {"error": "InputError", "message": message})
+
+
 def test_satellite_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "u3.json", {"linking": [[0]], "charges": [3]})
     code, out, _ = run_json(capsys, ["satellite", "--input", path, "--k", "2"])
@@ -374,7 +387,8 @@ def test_schema_errors_name_the_field(tmp_path, capsys):
         ({**hopf_pd, "components": [[1, 2], [3, "4"]], "charges": [1, 1]},
          "components[1][1]: expected an integer, got '4'"),
         ({"charges": [1]}, "top level: need either 'linking' or 'pd'"),
-        ({"linking": [[0, 1], [1, 0]], "charges": [1]}, "charges, roles and names must match the matrix size"),
+        ({"linking": [[0, 1], [1, 0]], "charges": [1]}, "charges: expected 2 entries, one per linking row, got 1"),
+        ({"linking": [[0]], "charges": [1], "roles": []}, "roles: expected 1 entries, one per linking row, got 0"),
     ]
     for obj, message in cases:
         path = write(tmp_path, "bad.json", obj)

@@ -361,8 +361,8 @@ ROLE_CHOICES = "('observed', 'surgery')"
         ([[0, 1], [1, 0]], {"roles": ["observed", "framing"]},
          f"roles[1] must be one of {ROLE_CHOICES}, got 'framing'"),
         ([[0]], {"roles": [["observed"]]}, f"roles[0] must be one of {ROLE_CHOICES}, got ['observed']"),
-        ([[0, 1], [1, 0]], {"charges": [1]}, "charges, roles and names must match the matrix size"),
-        ([[0]], {"names": ["A", "B"]}, "charges, roles and names must match the matrix size"),
+        ([[0, 1], [1, 0]], {"charges": [1]}, "charges: expected 2 entries, one per linking row, got 1"),
+        ([[0]], {"names": ["A", "B"]}, "names: expected 1 entries, one per linking row, got 2"),
     ],
 )
 def test_validate_names_the_first_offending_field(linking, fields, message):

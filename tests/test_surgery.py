@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from operator import mul
 
 import pytest
@@ -25,6 +26,7 @@ from acsl import (
 )
 from acsl.checks import (
     HOMOLOGY_COUPLINGS,
+    TOLERANCE,
     kernel_witness_holds,
     random_kirby_move,
     random_presentation,
@@ -301,11 +303,24 @@ def test_gauss_sum_term_limit():
     with pytest.raises(TermLimit):
         gauss_sum(fl, 3, False, max_terms=7775)
     assert gauss_sum(fl, 3, False, max_terms=7776).terms == 7776
-    # isolated blow-ups factor: 12 of them walk 12 * 10 vectors, not 10**12
+    # isolated blow-ups are walked with the rest: 12 of them hold 10**12 vectors
     blown = presentation([[0]], charges=[1])
     for _ in range(12):
         blown = blow_up(blown, 1)
-    assert gauss_sum(blown, 5, True, max_terms=120).terms == 10**12
+    with pytest.raises(TermLimit):
+        gauss_sum(blown, 5, True, max_terms=120)
+
+
+def test_gauss_sum_at_five_odd_primes_is_fast():
+    # 4 * 19635 has five odd primes: the 39270 terms of the one surgery
+    # component are tallied, observed phase included, and reduced once.
+    fl = presentation([[1, 1], [1, 3]], charges=[0, 5], roles=["surgery", "observed"])
+    start = time.perf_counter()
+    out = gauss_sum(fl, 19635, True)
+    assert time.perf_counter() - start < 2.0
+    assert out.terms == 39270
+    numerator, _ = oracle_sums(fl, 19635)
+    assert abs(out.value.embed() - numerator) < TOLERANCE
 
 
 def test_solve_local_matches_brute_force():
