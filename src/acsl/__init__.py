@@ -51,11 +51,10 @@ _EXPORTS = {
     ),
     "surgery": (
         "DenominatorZero",
-        "GaussSum",
         "TermLimit",
         "blow_down",
         "blow_up",
-        "gauss_sum",
+        "gauss_sums",
         "handle_slide",
         "oracle_expectation",
         "oracle_sums",

@@ -20,7 +20,7 @@ from .surgery import (
     TermLimit,
     blow_down,
     blow_up,
-    gauss_sum,
+    gauss_sums,
     handle_slide,
     oracle_sums,
     surgery_expectation,
@@ -223,8 +223,7 @@ def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int) -> dict:
             skipped += 1
             continue
         if exact:
-            exact_num = gauss_sum(fl, kk, True, max_terms).value
-            exact_den = gauss_sum(fl, kk, False, max_terms).value
+            exact_num, exact_den = gauss_sums(fl, kk, max_terms)
         try:
             got = surgery_expectation(fl, kk)
         except DenominatorZero as exc:

@@ -53,8 +53,9 @@ HOMOLOGY_K_LIMIT = 20_000
 
 # Largest check --max-terms: the library's own cap on the colour vectors
 # of one enumeration.  At the cap, on a 2-core VM, a dense six-component
-# surgery block at k=5 takes 10-16 s in the float walk of a trial (one to
-# three observed components) and about 2.7 s in each exact walk.
+# surgery block at k=5 takes 8-10 s in the float walk of a trial (one to
+# three observed components) and 3.2-3.5 s in the exact walk; each walk
+# yields both sums.
 MAX_TERMS_LIMIT = 10**6
 
 # Most surgery components surgery takes: elimination is cubic in them, once

@@ -121,7 +121,7 @@ def s3_expectation(fl: FramedLink, k) -> Invariant:
     level = CouplingLevel.of(k)
     if SURGERY in fl.roles:
         raise SurgeryComponentError(
-            "link has surgery components; use surgery_expectation"
+            "roles: link has surgery components; use surgery_expectation"
         )
     return Invariant.from_quadratic(level, quadratic_form(fl))
 

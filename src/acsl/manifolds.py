@@ -55,7 +55,7 @@ def s1xsigma_expectation(h: HomologyData, k) -> Invariant:
 def s1xs2_expectation(h: HomologyData, k) -> Invariant:
     """Genus-0 case of s1xsigma_expectation; rejects g > 0 data."""
     if h.genus != 0:
-        raise ValueError(f"expected genus 0 data, got genus {h.genus}")
+        raise ValueError(f"genus: expected genus 0 data, got genus {h.genus}")
     return s1xsigma_expectation(h, k)
 
 

@@ -25,13 +25,13 @@ y -> y.Ay/m mod 2 is additive and vanishes on the odd part, so the
 undefined test checks generators of the 2-part kernel alone.  The cost
 is cubic in the number of surgery components per prime of m.
 
-gauss_sum evaluates either sum exactly: it walks the colour vectors
-of all s surgery components once, tallying integer counts per phase
-exponent mod 4|k|, observed form included, and one cyclotomic
-reduction turns the tally into the exact value.  Its cost grows as
-(2|k|)**s, so it serves only as the exact oracle that
-surgery_expectation is tested against, beside the float oracle
-oracle_sums.
+gauss_sums evaluates both sums exactly: one walk over the colour
+vectors of all s surgery components adds each vector's phase exponent
+mod 4|k| to two integer tallies, with and without the observed
+charges, and one cyclotomic reduction turns each tally into its exact
+value.  Its cost grows as (2|k|)**s, so it serves only as the exact
+oracle that surgery_expectation is tested against, beside the float
+oracle oracle_sums, which returns the same pair in floating point.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import itertools
 import math
 from operator import mul
 
-from ._record import Record
 from .cyclotomic import CycNum, _prime_factors
 from .invariants import CouplingLevel, Invariant, form_value
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
@@ -76,44 +75,35 @@ class NotIsolated(ValueError):
     """Blow-down target still links other components."""
 
 
-class GaussSum(Record):
-    """Exact value of a colour-lattice sum and the number of terms."""
+def gauss_sums(fl: FramedLink, k, max_terms: int = 10**6) -> tuple[CycNum, CycNum]:
+    """Exact numerator and denominator: the sums of S^3 phases over all
+    colourings of the surgery components, with the observed charges in
+    place and with them removed.
 
-    def __init__(self, value: CycNum, terms: int) -> None:
-        self.__dict__["value"] = value
-        self.__dict__["terms"] = terms
-
-
-def gauss_sum(
-    fl: FramedLink, k, include_observed: bool, max_terms: int = 10**6
-) -> GaussSum:
-    """Sum of S^3 phases over all colourings of the surgery components.
-
-    Each surgery component ranges over the residues 0..2|k|-1; observed
-    components keep their charges, or are set to 0 when
-    include_observed is false.  An empty surgery link gives the single
-    phase of the observed charges.  Raises TermLimit, before walking
+    Each surgery component ranges over the residues 0..2|k|-1.  One walk
+    tallies both sums; an empty surgery link gives the single phase of
+    the observed charges, over 1.  Raises TermLimit, before walking
     anything, when there are more than max_terms colour vectors.
     """
     level = CouplingLevel.of(k)
     m = level.colour_modulus
     n = level.root_order
+    sign = level.sign
     surgery = fl.surgery()
     terms = m ** len(surgery)
     if terms > max_terms:
         raise TermLimit(f"{terms} colour vectors exceed the cap of {max_terms}")
-    charges = [
-        q if include_observed and r == OBSERVED else 0
-        for q, r in zip(fl.charges, fl.roles)
-    ]
+    charges = [q if r == OBSERVED else 0 for q, r in zip(fl.charges, fl.roles)]
     # q.Lq for colours c on the surgery block A: q.Cq + 2 c.b + c.Ac
     observed = form_value(fl.linking, charges)
     linear = [2 * sum(map(mul, fl.linking[i], charges)) for i in surgery]
     block = fl.select(surgery).linking
-    tally = [0] * n
+    charged, bare = [0] * n, [0] * n
     for c in itertools.product(range(m), repeat=len(surgery)):
-        tally[-level.sign * (observed + form_value(block, c) + sum(map(mul, linear, c))) % n] += 1
-    return GaussSum(CycNum.from_coeffs(n, tally), terms)
+        form = form_value(block, c)
+        bare[-sign * form % n] += 1
+        charged[-sign * (observed + form + sum(map(mul, linear, c))) % n] += 1
+    return CycNum.from_coeffs(n, charged), CycNum.from_coeffs(n, bare)
 
 
 def _back_substitute(rows, pivots, z: list[int], q: int) -> list[int] | None:
@@ -171,11 +161,11 @@ def surgery_expectation(fl: FramedLink, k) -> Invariant:
     """Exact expectation value in the 3-manifold presented by the
     surgery components of fl, at coupling k.
 
-    Equal to the ratio gauss_sum(fl, k, True) / gauss_sum(fl, k, False), but
-    computed from the homology of the surgery block (see the module
-    docstring): DenominatorZero when the normalizing sum vanishes at
-    this coupling, exact zero when the observed charges are not in the
-    image of the surgery block mod 2|k|, and a phase otherwise.
+    Equal to the ratio of the two gauss_sums(fl, k), but computed from
+    the homology of the surgery block (see the module docstring):
+    DenominatorZero when the normalizing sum vanishes at this coupling,
+    exact zero when the observed charges are not in the image of the
+    surgery block mod 2|k|, and a phase otherwise.
     """
     level = CouplingLevel.of(k)
     m = level.colour_modulus
@@ -257,8 +247,10 @@ def handle_slide(fl: FramedLink, i: int, j: int, sign: int) -> FramedLink:
 def oracle_sums(fl: FramedLink, k, max_terms: int = 10**6) -> tuple[complex, complex]:
     """Independent float evaluation of the numerator and denominator.
 
-    Walks every colour vector directly and sums double-precision
-    phases exp(-2*pi*i*Q/(4k)); shares no code with the exact engine.
+    Walks every colour vector once, builds the charged and bare integer
+    vectors literally, and sums the double-precision phases
+    exp(-2*pi*i*Q/(4k)) of both forms; shares no code with the exact
+    engine.
     """
     k = CouplingLevel.of(k).k
     m = 2 * abs(k)
@@ -278,12 +270,12 @@ def oracle_sums(fl: FramedLink, k, max_terms: int = 10**6) -> tuple[complex, com
         for idx, c in zip(surgery, colours):
             charged[idx] = c
             bare[idx] = c
-        q_full = 0
-        q_surg = 0
-        for a in range(fl.n):
-            for b in range(fl.n):
-                q_full += charged[a] * fl.linking[a][b] * charged[b]
-                q_surg += bare[a] * fl.linking[a][b] * bare[b]
+        q_full = q_surg = 0
+        for row, u, v in zip(fl.linking, charged, bare):
+            if u:
+                q_full += u * sum(map(mul, row, charged))
+            if v:
+                q_surg += v * sum(map(mul, row, bare))
         # reduced mod 4k first: exp of a large angle keeps fewer digits
         numerator += cmath.exp(-2j * math.pi * (q_full % (4 * k)) / (4 * k))
         denominator += cmath.exp(-2j * math.pi * (q_surg % (4 * k)) / (4 * k))

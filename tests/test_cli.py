@@ -109,6 +109,7 @@ def test_s3_rejects_surgery_components(tmp_path, capsys):
     code, _, err = run_json(capsys, ["s3", "--input", path, "--k", "1"])
     assert code == 2
     assert err["error"] == "SurgeryComponentError"
+    assert err["message"] == "roles: link has surgery components; use surgery_expectation"
 
 
 def test_pd_route(tmp_path, capsys):
@@ -147,8 +148,10 @@ def test_homology_commands(tmp_path, capsys):
     assert code == 0
     assert out["phase_exponent"] == 3
     # genus mismatch for the s1xs2 command
-    code, _, err = run_json(capsys, ["s1xs2", "--input", path2, "--k", "1"])
-    assert code == 2
+    path3 = write(tmp_path, "h3.json", {"genus": 1, "N": [0, 0, 0]})
+    code, out, err = run_json(capsys, ["s1xs2", "--input", path3, "--k", "1"])
+    assert (code, out) == (2, None)
+    assert err == {"error": "InputError", "message": "genus: expected genus 0 data, got genus 1"}
 
 
 @pytest.mark.parametrize(
@@ -342,10 +345,10 @@ def test_trials_outside_the_limit_is_input_error(capsys, suite, trials):
 def test_max_terms_limit_is_the_library_default():
     import inspect
 
-    from acsl import gauss_sum, oracle_sums
+    from acsl import gauss_sums, oracle_sums
 
     assert MAX_TERMS_LIMIT == 10**6
-    for function in (gauss_sum, oracle_sums):
+    for function in (gauss_sums, oracle_sums):
         assert inspect.signature(function).parameters["max_terms"].default == MAX_TERMS_LIMIT
 
 

@@ -79,9 +79,9 @@ def test_t3_presentation_shape():
     assert fl.n == 3
     assert fl.linking == ((0, 0, 0),) * 3
     assert fl.names == ("S1", "S2", "S3")
-    from acsl import gauss_sum
+    from acsl import gauss_sums
 
-    assert gauss_sum(fl, 2, False).value == CycNum.from_coeffs(8, [64])  # (2k)^3
+    assert gauss_sums(fl, 2)[1] == CycNum.from_coeffs(8, [64])  # (2k)^3
     observed = FramedLink.make([[0]], charges=[1])
     fl = s1xsigma_presentation(observed, [(1,), (2,), (3,)])
     assert fl.linking == ((0, 1, 2, 3), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0))

@@ -12,7 +12,6 @@ from acsl import (
     CycNum,
     Diagram,
     FramedLink,
-    GaussSum,
     HomologyData,
     Invariant,
 )
@@ -56,12 +55,6 @@ RECORDS = [
         Invariant.zero(12),
         "Invariant(order=12, exponent=5)",
         {"order": 12, "exponent": 5},
-    ),
-    (
-        lambda: GaussSum(CycNum(4, (1, 0)), 4),
-        GaussSum(CycNum(4, (1, 0)), 8),
-        "GaussSum(value=CycNum(n=4, num=(1, 0)), terms=4)",
-        {"value": CycNum(4, (1, 0)), "terms": 4},
     ),
     (
         lambda: HomologyData(1, [4, 0, -2], 3),

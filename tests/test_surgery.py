@@ -16,7 +16,7 @@ from acsl import (
     TermLimit,
     blow_down,
     blow_up,
-    gauss_sum,
+    gauss_sums,
     handle_slide,
     oracle_expectation,
     oracle_sums,
@@ -56,32 +56,32 @@ def invariant_or_status(fl: FramedLink, k):
 def test_gauss_sum_zero_framed_unknot():
     for k in (1, 2, 3, -2):
         fl = presentation([[0]], roles=["surgery"])
-        out = gauss_sum(fl, k, include_observed=False)
-        assert out.terms == 2 * abs(k)
-        assert out.value == CycNum.from_coeffs(4 * abs(k), [2 * abs(k)])
+        with pytest.raises(TermLimit):
+            gauss_sums(fl, k, max_terms=2 * abs(k) - 1)
+        _, den = gauss_sums(fl, k, max_terms=2 * abs(k))
+        assert den == CycNum.from_coeffs(4 * abs(k), [2 * abs(k)])
 
 
 def test_gauss_sum_unit_framed_unknot():
     fl = presentation([[1]], roles=["surgery"])
-    value = gauss_sum(fl, 1, include_observed=False).value
+    _, value = gauss_sums(fl, 1)
     assert value == CycNum.one(4) + root_power(4, -1)  # 1 - i
     assert abs(value.embed() - (1 - 1j)) < 1e-12
 
 
 def test_gauss_sum_reduces_to_s3_phase():
     hopf = FramedLink.make([[0, 1], [1, 0]], charges=[1, 1])
-    out = gauss_sum(hopf, 1, include_observed=True)
-    assert out.terms == 1
-    assert out.value == CycNum.from_coeffs(4, [-1])
+    with pytest.raises(TermLimit):
+        gauss_sums(hopf, 1, max_terms=0)
+    assert gauss_sums(hopf, 1, max_terms=1) == (CycNum.from_coeffs(4, [-1]), CycNum.one(4))
 
 
 def test_gauss_sum_ignores_observed_when_asked():
     fl = presentation([[0, 1], [1, 2]], charges=[3, 0], roles=["observed", "surgery"])
     bare = presentation([[0, 1], [1, 2]], roles=["observed", "surgery"])
-    assert (
-        gauss_sum(fl, 2, include_observed=False).value
-        == gauss_sum(bare, 2, include_observed=True).value
-    )
+    numerator, denominator = gauss_sums(fl, 2)
+    assert gauss_sums(bare, 2) == (denominator, denominator)
+    assert numerator != denominator  # charge 3 is not in the image of 2 mod 4
 
 
 def test_surgery_expectation_meridian_cases():
@@ -119,7 +119,7 @@ def test_blow_up_examples():
     assert up.n == 2
     assert up.roles[-1] == "surgery"
     assert up.linking[1][1] == 1
-    assert gauss_sum(up, 1, include_observed=False).value == CycNum.one(4) + root_power(4, -1)
+    assert gauss_sums(up, 1)[1] == CycNum.one(4) + root_power(4, -1)
     with pytest.raises(ValueError):
         blow_up(empty, 2)
 
@@ -298,29 +298,33 @@ def test_oracle_term_limit():
 
 
 def test_gauss_sum_term_limit():
-    # a connected 5-component block walks 6**5 = 7776 vectors at k=3
+    # a connected 5-component block walks 6**5 = 7776 vectors at k=3,
+    # under the same rule in both oracles
     fl = presentation([[1] * 5 for _ in range(5)], roles=["surgery"] * 5)
-    with pytest.raises(TermLimit):
-        gauss_sum(fl, 3, False, max_terms=7775)
-    assert gauss_sum(fl, 3, False, max_terms=7776).terms == 7776
+    for oracle in (gauss_sums, oracle_sums):
+        with pytest.raises(TermLimit):
+            oracle(fl, 3, max_terms=7775)
+        oracle(fl, 3, max_terms=7776)
     # isolated blow-ups are walked with the rest: 12 of them hold 10**12 vectors
     blown = presentation([[0]], charges=[1])
     for _ in range(12):
         blown = blow_up(blown, 1)
     with pytest.raises(TermLimit):
-        gauss_sum(blown, 5, True, max_terms=120)
+        gauss_sums(blown, 5, max_terms=120)
 
 
 def test_gauss_sum_at_five_odd_primes_is_fast():
     # 4 * 19635 has five odd primes: the 39270 terms of the one surgery
-    # component are tallied, observed phase included, and reduced once.
+    # component are tallied, with and without the observed phase, and
+    # each tally is reduced once.
     fl = presentation([[1, 1], [1, 3]], charges=[0, 5], roles=["surgery", "observed"])
+    with pytest.raises(TermLimit):
+        gauss_sums(fl, 19635, max_terms=39269)
     start = time.perf_counter()
-    out = gauss_sum(fl, 19635, True)
+    exact = gauss_sums(fl, 19635, max_terms=39270)
     assert time.perf_counter() - start < 2.0
-    assert out.terms == 39270
-    numerator, _ = oracle_sums(fl, 19635)
-    assert abs(out.value.embed() - numerator) < TOLERANCE
+    for value, float_sum in zip(exact, oracle_sums(fl, 19635)):
+        assert abs(value.embed() - float_sum) < TOLERANCE
 
 
 def test_solve_local_matches_brute_force():
