@@ -39,9 +39,9 @@ _EXPORTS = {
         "validate",
     ),
     "invariants": (
-        "CouplingLevel",
         "Invariant",
         "SurgeryComponentError",
+        "coupling",
         "quadratic_form",
         "reduce_colours",
         "reverse_component",

@@ -12,7 +12,7 @@ import random
 from operator import mul
 
 from .cyclotomic import CycNum
-from .invariants import CouplingLevel, quadratic_form, s3_expectation, simplicial_satellite
+from .invariants import coupling, quadratic_form, s3_expectation, simplicial_satellite
 from .linkdiagram import OBSERVED, SURGERY, FramedLink, default_names
 from .manifolds import HomologyData, s1xsigma_expectation, s1xsigma_presentation
 from .surgery import (
@@ -179,7 +179,7 @@ HOMOLOGY_COUPLINGS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
 def kernel_witness_holds(fl: FramedLink, k, y) -> bool:
     """Whether y proves the ratio undefined: A y = 0 (mod 2|k|) and
     y.Ay != 0 (mod 4|k|), for A the surgery block, computed directly."""
-    m = CouplingLevel.of(k).colour_modulus
+    m = 2 * abs(coupling(k))
     a = fl.select(fl.surgery()).linking
     if y is None or len(y) != len(a):
         return False

@@ -16,7 +16,6 @@ import warnings
 
 from .cyclotomic import CycNum
 from .invariants import (
-    CouplingLevel,
     Invariant,
     SurgeryComponentError,
     s3_expectation,
@@ -33,11 +32,13 @@ from .linkdiagram import (
 )
 
 
-# Largest |k| the evaluating commands accept.  Output carries phi(4|k|)
-# coordinates: s3 on the Hopf link writes 1.28 MB at this limit and at
-# most 1.65 MB, at k=99991.  A fresh s3 process takes about 0.2 s at worst
-# on a 2-core VM, at k=99991; 0.12-0.18 s at k=15015, 30030 and 90090,
-# where 4|k| has five or six prime factors.
+# Largest |k| of every evaluating command and of every check suite but
+# homology.  Output carries phi(4|k|) coordinates: s3 on the Hopf link
+# writes 1.28 MB at this limit and at most 1.65 MB, at k=99991.  A fresh
+# s3 process takes about 0.2 s at worst on a 2-core VM, at k=99991;
+# 0.12-0.18 s at k=15015, 30030 and 90090, where 4|k| has five or six
+# prime factors.  The kirby and manifolds suites factor 2|k| by trial
+# division in every trial, so an unlimited k would hang them.
 K_LIMIT = 100_000
 
 # Most trials check runs: 10**4 trials of kirby, the slowest suite that
@@ -47,8 +48,7 @@ TRIALS_LIMIT = 10**4
 # Largest |k| of check --suite homology, whose unskipped trials reduce three
 # coordinate vectors of order 4|k| each.  100 trials take 0.1-0.2 s at
 # k=19997 or 20000 on a 2-core VM, and 0.4-0.6 s at k=15015 and 19635,
-# which have five odd prime factors.  The oracle suite shares K_LIMIT; the
-# others read no coordinates.
+# which have five odd prime factors.
 HOMOLOGY_K_LIMIT = 20_000
 
 # Largest check --max-terms: the library's own cap on the colour vectors
@@ -165,17 +165,15 @@ def _read_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _coupling(args, obj) -> CouplingLevel:
-    k = args.k if args.k is not None else obj.get("k") if isinstance(obj, dict) else None
+def _coupling(k, limit: int) -> int:
+    """The coupling k, checked: an int with 0 < |k| <= limit."""
     if k is None:
-        raise InputError("coupling missing: pass --k or a top-level 'k'")
-    k = _expect_int(k, "k")
-    if abs(k) > K_LIMIT:
-        raise InputError(f"k: |k| = {abs(k)} exceeds the limit of {K_LIMIT}")
-    try:
-        return CouplingLevel.of(k)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError("k: coupling missing: pass --k or a top-level 'k'")
+    if _expect_int(k, "k") == 0:
+        raise InputError("k: coupling must be nonzero")
+    if abs(k) > limit:
+        raise InputError(f"k: |k| = {abs(k)} exceeds the limit of {limit}")
+    return k
 
 
 def cyc_to_json(value: CycNum) -> dict:
@@ -286,18 +284,16 @@ def run(argv) -> int:
                 raise InputError(f"suite: expected one of {', '.join(SUITES)}, got {args.suite!r}")
             if not 1 <= args.trials <= TRIALS_LIMIT:
                 raise InputError(f"trials: expected 1 to {TRIALS_LIMIT}, got {args.trials}")
-            kwargs = {"trials": args.trials, "seed": args.seed, "k": args.k}
+            kwargs = {"trials": args.trials, "seed": args.seed}
             if args.max_terms is not None:
                 if not 1 <= args.max_terms <= MAX_TERMS_LIMIT:
                     raise InputError(f"max_terms: expected 1 to {MAX_TERMS_LIMIT}, got {args.max_terms}")
                 if args.suite not in ("oracle", "homology"):
                     raise InputError(f"max_terms: the {args.suite} suite enumerates nothing")
                 kwargs["max_terms"] = args.max_terms
-            if args.k == 0:
-                raise InputError("k: coupling must be nonzero")
-            limit = {"oracle": K_LIMIT, "homology": HOMOLOGY_K_LIMIT}.get(args.suite)
-            if limit and args.k is not None and abs(args.k) > limit:
-                raise InputError(f"k: |k| = {abs(args.k)} exceeds the {args.suite} suite's limit of {limit}")
+            limit = HOMOLOGY_K_LIMIT if args.suite == "homology" else K_LIMIT
+            # without --k, the suite draws from its own mixed couplings
+            kwargs["k"] = None if args.k is None else _coupling(args.k, limit)
             report = SUITES[args.suite](**kwargs)
             _emit({"command": "check", **report})
             return 0 if report["passed"] else 1
@@ -305,12 +301,13 @@ def run(argv) -> int:
         if args.input is None:
             raise InputError("--input is required")
         obj = _read_json(args.input)
-        level = _coupling(args, obj)
+        k = args.k if args.k is not None else obj.get("k") if isinstance(obj, dict) else None
+        k = _coupling(k, K_LIMIT)
 
         if args.command == "s3":
             fl = link_from_object(obj)
-            inv = s3_expectation(fl, level)
-            _emit({"command": "s3", "k": level.k, **invariant_to_json(inv)})
+            inv = s3_expectation(fl, k)
+            _emit({"command": "s3", "k": k, **invariant_to_json(inv)})
         elif args.command == "surgery":
             from . import DenominatorZero, surgery_expectation
 
@@ -319,20 +316,20 @@ def run(argv) -> int:
             if s > SURGERY_LIMIT:
                 raise InputError(f"roles: {s} surgery components exceed the limit of {SURGERY_LIMIT}")
             try:
-                inv = surgery_expectation(fl, level)
+                inv = surgery_expectation(fl, k)
             except DenominatorZero as exc:
                 return _fail(exc, 3)
-            _emit({"command": "surgery", "k": level.k, **invariant_to_json(inv)})
+            _emit({"command": "surgery", "k": k, **invariant_to_json(inv)})
         elif args.command in ("s1xs2", "s1xsigma"):
             from . import s1xs2_expectation, s1xsigma_expectation
 
             h = homology_from_object(obj)
             evaluate = s1xs2_expectation if args.command == "s1xs2" else s1xsigma_expectation
             try:
-                inv = evaluate(h, level)
+                inv = evaluate(h, k)
             except ValueError as exc:
                 raise InputError(str(exc)) from exc
-            _emit({"command": args.command, "k": level.k, **invariant_to_json(inv)})
+            _emit({"command": args.command, "k": k, **invariant_to_json(inv)})
         elif args.command == "satellite":
             fl = link_from_object(obj)
             size = sum(
@@ -346,12 +343,12 @@ def run(argv) -> int:
             expanded = simplicial_satellite(fl)
             payload = {
                 "command": "satellite",
-                "k": level.k,
+                "k": k,
                 "link": link_to_json(expanded),
             }
             if not fl.surgery():
-                before = s3_expectation(fl, level)
-                after = s3_expectation(expanded, level)
+                before = s3_expectation(fl, k)
+                after = s3_expectation(expanded, k)
                 payload["invariant_before"] = invariant_to_json(before)
                 payload["invariant_after"] = invariant_to_json(after)
                 payload["equal"] = before == after

@@ -24,31 +24,14 @@ class SurgeryComponentError(ValueError):
     """An operation restricted to observed components met a surgery one."""
 
 
-class CouplingLevel(Record):
-    """Nonzero integer coupling; colours live in Z_2|k|, phases in Z_4|k|."""
-
-    def __init__(self, k: int) -> None:
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError(f"coupling must be an integer, got {k!r}")
-        if k == 0:
-            raise ValueError("coupling must be nonzero")
-        self.__dict__["k"] = k
-
-    @classmethod
-    def of(cls, value) -> CouplingLevel:
-        return value if type(value) is CouplingLevel else cls(value)
-
-    @property
-    def colour_modulus(self) -> int:
-        return 2 * abs(self.k)
-
-    @property
-    def root_order(self) -> int:
-        return 4 * abs(self.k)
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.k > 0 else -1
+def coupling(k) -> int:
+    """k itself, checked: a nonzero int (colours live in Z_2|k|, phases
+    in Z_4|k|); raises TypeError or ValueError otherwise."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"coupling must be an integer, got {k!r}")
+    if k == 0:
+        raise ValueError("coupling must be nonzero")
+    return k
 
 
 class Invariant(Record):
@@ -68,9 +51,8 @@ class Invariant(Record):
         return cls(order, None)
 
     @classmethod
-    def from_quadratic(cls, level: CouplingLevel, form_value: int) -> Invariant:
+    def from_quadratic(cls, k: int, form_value: int) -> Invariant:
         """The phase zeta_{4|k|}**(-sign(k) * form_value)."""
-        k = level.k
         return cls(4 * abs(k), -form_value if k > 0 else form_value)
 
     @property
@@ -118,17 +100,17 @@ def s3_expectation(fl: FramedLink, k) -> Invariant:
     Always a unit-modulus root of unity; links containing surgery
     components belong to the surgery module instead.
     """
-    level = CouplingLevel.of(k)
+    k = coupling(k)
     if SURGERY in fl.roles:
         raise SurgeryComponentError(
             "roles: link has surgery components; use surgery_expectation"
         )
-    return Invariant.from_quadratic(level, quadratic_form(fl))
+    return Invariant.from_quadratic(k, quadratic_form(fl))
 
 
 def reduce_colours(fl: FramedLink, k) -> FramedLink:
     """Replace observed charges by their canonical residues in [0, 2|k|)."""
-    m = CouplingLevel.of(k).colour_modulus
+    m = 2 * abs(coupling(k))
     charges = tuple(
         q % m if r == OBSERVED else q for q, r in zip(fl.charges, fl.roles)
     )

@@ -14,7 +14,7 @@ for the 3-torus.
 from __future__ import annotations
 
 from ._record import Record
-from .invariants import CouplingLevel, Invariant
+from .invariants import Invariant, coupling
 from .linkdiagram import FramedLink, validate
 
 
@@ -46,10 +46,10 @@ def s1xsigma_expectation(h: HomologyData, k) -> Invariant:
     Zero unless every pairing is divisible by 2|k|; otherwise the phase
     of the framed self-intersection form.
     """
-    level = CouplingLevel.of(k)
-    if any(pairing % level.colour_modulus for pairing in h.pairings):
-        return Invariant.zero(level.root_order)
-    return Invariant.from_quadratic(level, h.self_form)
+    k = coupling(k)
+    if any(pairing % (2 * abs(k)) for pairing in h.pairings):
+        return Invariant.zero(4 * abs(k))
+    return Invariant.from_quadratic(k, h.self_form)
 
 
 def s1xs2_expectation(h: HomologyData, k) -> Invariant:

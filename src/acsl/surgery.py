@@ -42,7 +42,7 @@ import math
 from operator import mul
 
 from .cyclotomic import CycNum, _prime_factors
-from .invariants import CouplingLevel, Invariant, form_value
+from .invariants import Invariant, coupling, form_value
 from .linkdiagram import OBSERVED, SURGERY, FramedLink
 
 
@@ -85,10 +85,9 @@ def gauss_sums(fl: FramedLink, k, max_terms: int = 10**6) -> tuple[CycNum, CycNu
     the observed charges, over 1.  Raises TermLimit, before walking
     anything, when there are more than max_terms colour vectors.
     """
-    level = CouplingLevel.of(k)
-    m = level.colour_modulus
-    n = level.root_order
-    sign = level.sign
+    k = coupling(k)
+    m, n = 2 * abs(k), 4 * abs(k)
+    sign = 1 if k > 0 else -1
     surgery = fl.surgery()
     terms = m ** len(surgery)
     if terms > max_terms:
@@ -167,9 +166,8 @@ def surgery_expectation(fl: FramedLink, k) -> Invariant:
     exact zero when the observed charges are not in the image of the
     surgery block mod 2|k|, and a phase otherwise.
     """
-    level = CouplingLevel.of(k)
-    m = level.colour_modulus
-    n = level.root_order
+    k = coupling(k)
+    m, n = 2 * abs(k), 4 * abs(k)
     surgery = fl.surgery()
     charges = [q if r == OBSERVED else 0 for q, r in zip(fl.charges, fl.roles)]
     a = fl.select(surgery).linking
@@ -184,7 +182,7 @@ def surgery_expectation(fl: FramedLink, k) -> Invariant:
             y = [m // q * zi for zi in z]
             if form_value(a, y) % n:
                 raise DenominatorZero(
-                    f"normalizing Gauss sum vanishes at k={level.k}: the kernel "
+                    f"normalizing Gauss sum vanishes at k={k}: the kernel "
                     f"vector {y} of the surgery block mod {m} has y.Ay != 0 mod {n}",
                     tuple(y),
                 )
@@ -193,7 +191,7 @@ def surgery_expectation(fl: FramedLink, k) -> Invariant:
         step = pow(modulus, -1, q)
         x = [xi + modulus * ((zi - xi) * step % q) for xi, zi in zip(x, part)]
         modulus *= q
-    return Invariant.from_quadratic(level, form_value(fl.linking, charges) - form_value(a, x))
+    return Invariant.from_quadratic(k, form_value(fl.linking, charges) - form_value(a, x))
 
 
 def blow_up(fl: FramedLink, sign: int) -> FramedLink:
@@ -252,7 +250,7 @@ def oracle_sums(fl: FramedLink, k, max_terms: int = 10**6) -> tuple[complex, com
     exp(-2*pi*i*Q/(4k)) of both forms; shares no code with the exact
     engine.
     """
-    k = CouplingLevel.of(k).k
+    k = coupling(k)
     m = 2 * abs(k)
     surgery = [i for i, r in enumerate(fl.roles) if r == SURGERY]
     if m ** len(surgery) > max_terms:

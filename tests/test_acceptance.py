@@ -14,7 +14,6 @@ import math
 import random
 
 from acsl import (
-    CouplingLevel,
     CycNum,
     DenominatorZero,
     FramedLink,
@@ -89,10 +88,7 @@ def test_criterion_1_theorem1_reproduction():
     for fl in theorem1_battery():
         q_value = brute_force_form(fl)
         for k in COUPLINGS:
-            level = CouplingLevel(k)
-            expected = root_power(
-                level.root_order, (-level.sign * q_value) % level.root_order
-            )
+            expected = root_power(4 * abs(k), -q_value if k > 0 else q_value)
             inv = s3_expectation(fl, k)
             assert inv.value == expected
             assert not inv.is_zero

@@ -586,11 +586,14 @@ def test_huge_k_is_refused_before_any_allocation(tmp_path, capsys):
     }
     for command, obj in inputs.items():
         path = write(tmp_path, f"{command}.json", obj)
-        start = time.perf_counter()
-        code, out, err = run_json(capsys, [command, "--input", path, "--k", "-1000000000"])
-        assert time.perf_counter() - start < 1, command
-        assert (code, out, err["error"]) == (2, None, "InputError"), command
-        assert err["message"].startswith("k:"), command
+        for k in (["--k", "-1000000000"], ["--k", "0"], []):  # huge, zero, missing
+            start = time.perf_counter()
+            code, out, err = run_json(capsys, [command, "--input", path, *k])
+            assert time.perf_counter() - start < 1, (command, k)
+            assert (code, out, err["error"]) == (2, None, "InputError"), (command, k)
+            assert err["message"].startswith("k:"), (command, k)
+    code, out, err = run_json(capsys, ["check", "--suite", "kirby", "--k", "0"])
+    assert (code, out) == (2, None) and err["message"] == "k: coupling must be nonzero"
     path = write(tmp_path, "hopf_k.json", {**HOPF, "k": 100_001})
     code, _, err = run_json(capsys, ["s3", "--input", path])
     assert code == 2 and err["message"].startswith("k:")
@@ -638,28 +641,27 @@ def test_satellite_expansion_is_limited(tmp_path, capsys):
         assert err["message"].startswith("charges:")
 
 
-def test_suites_that_read_coordinates_limit_k(monkeypatch, capsys):
+def test_every_suite_limits_k(monkeypatch, capsys):
     from acsl import checks
     from acsl.cli import HOMOLOGY_K_LIMIT, K_LIMIT
 
-    assert HOMOLOGY_K_LIMIT == 20_000
-    over = [("oracle", 10**9), ("oracle", -K_LIMIT - 1), ("homology", HOMOLOGY_K_LIMIT + 1), ("homology", -10**9)]
+    assert (K_LIMIT, HOMOLOGY_K_LIMIT) == (100_000, 20_000)
+    limits = {suite: HOMOLOGY_K_LIMIT if suite == "homology" else K_LIMIT for suite in checks.SUITES}
     with monkeypatch.context() as patch:
-        patch.setattr(checks, "random_presentation", None)  # no trial may run
-        for suite, k in over:
-            start = time.perf_counter()
-            code, out, err = run_json(capsys, ["check", "--suite", suite, "--trials", "20", "--k", str(k)])
-            assert time.perf_counter() - start < 1, (suite, k)
-            assert (code, out, err["error"]) == (2, None, "InputError"), (suite, k)
-            assert err["message"] == f"k: |k| = {abs(k)} exceeds the {suite} suite's limit of " + (
-                f"{K_LIMIT}" if suite == "oracle" else f"{HOMOLOGY_K_LIMIT}"
-            )
-    unlimited = [["--suite", s, "--trials", "3", "--k", "-1000000000"] for s in ("periodicity", "satellite", "kirby", "manifolds")]
-    for argv in (
-        ["--suite", "homology", "--trials", "5", "--k", str(-HOMOLOGY_K_LIMIT)],
-        ["--suite", "oracle", "--trials", "2", "--max-terms", "10", "--k", str(K_LIMIT)],
-        *unlimited,
-    ):
+        for name in ("random_link", "random_presentation"):
+            patch.setattr(checks, name, None)  # no trial may run
+        for suite, limit in limits.items():
+            # This k once hung kirby and manifolds, factoring 2|k| in every trial.
+            for k in (99999999999999999999999, -limit - 1):
+                start = time.perf_counter()
+                code, out, err = run_json(capsys, ["check", "--suite", suite, "--trials", "20", "--k", str(k)])
+                assert time.perf_counter() - start < 1, (suite, k)
+                assert (code, out, err["error"]) == (2, None, "InputError"), (suite, k)
+                assert err["message"] == f"k: |k| = {abs(k)} exceeds the limit of {limit}"
+    for suite, limit in limits.items():
+        argv = ["--suite", suite, "--trials", "2", "--k", str(-limit)]
+        if suite == "oracle":
+            argv += ["--max-terms", "10"]
         code, out, _ = run_json(capsys, ["check", *argv])
         assert (code, out["passed"]) == (0, True), argv
 

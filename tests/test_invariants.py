@@ -8,19 +8,27 @@ import random
 import pytest
 
 from acsl import (
-    CouplingLevel,
     CycNum,
     FramedLink,
+    HomologyData,
     Invariant,
     SurgeryComponentError,
+    coupling,
+    gauss_sums,
+    oracle_expectation,
+    oracle_sums,
     quadratic_form,
     reduce_colours,
     reverse_component,
     root_power,
+    s1xs2_expectation,
+    s1xsigma_expectation,
     s3_expectation,
     satellite_expand,
     simplicial_satellite,
+    surgery_expectation,
 )
+from acsl.checks import kernel_witness_holds
 from helpers import random_link, random_presentation, satellite_by_expansion
 
 HOPF = FramedLink.make([[0, 1], [1, 0]], charges=[1, 1])
@@ -36,21 +44,43 @@ def brute_force_form(fl: FramedLink) -> int:
 
 
 def expected_phase(fl: FramedLink, k: int):
-    level = CouplingLevel(k)
-    return root_power(
-        level.root_order, (-level.sign * brute_force_form(fl)) % level.root_order
-    )
+    return root_power(4 * abs(k), -brute_force_form(fl) if k > 0 else brute_force_form(fl))
 
 
 def test_coupling_level():
-    level = CouplingLevel(-3)
-    assert level.colour_modulus == 6
-    assert level.root_order == 12
-    assert level.sign == -1
+    assert coupling(-3) == -3 and type(coupling(7)) is int
     with pytest.raises(ValueError):
-        CouplingLevel(0)
-    with pytest.raises(TypeError):
-        CouplingLevel(1.5)
+        coupling(0)
+    for bad in (True, 1.5, "2", None):
+        with pytest.raises(TypeError):
+            coupling(bad)
+
+
+MERIDIAN = FramedLink.make([[0, 1], [1, 0]], charges=[1, 0], roles=["observed", "surgery"])
+
+# Every public function that takes a coupling, called with k in place.
+TAKES_K = {
+    "s3_expectation": lambda k: s3_expectation(HOPF, k),
+    "reduce_colours": lambda k: reduce_colours(HOPF, k),
+    "surgery_expectation": lambda k: surgery_expectation(MERIDIAN, k),
+    "gauss_sums": lambda k: gauss_sums(MERIDIAN, k),
+    "oracle_sums": lambda k: oracle_sums(MERIDIAN, k),
+    "oracle_expectation": lambda k: oracle_expectation(MERIDIAN, k),
+    "s1xs2_expectation": lambda k: s1xs2_expectation(HomologyData(0, [4], 3), k),
+    "s1xsigma_expectation": lambda k: s1xsigma_expectation(HomologyData(1, [4, 0, 0], 3), k),
+    "kernel_witness_holds": lambda k: kernel_witness_holds(MERIDIAN, k, (1,)),
+}
+
+
+@pytest.mark.parametrize("call", TAKES_K.values(), ids=TAKES_K.keys())
+def test_every_function_taking_k_checks_it(call):
+    call(2)
+    call(-2)
+    with pytest.raises(ValueError):
+        call(0)
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError):
+            call(bad)
 
 
 def test_quadratic_form_examples():
@@ -248,8 +278,8 @@ def test_invariant_equality_is_order_and_exponent():
 
 
 def test_from_quadratic_is_the_phase_of_the_form():
-    assert Invariant.from_quadratic(CouplingLevel(3), 7) == Invariant(12, -7)
-    assert Invariant.from_quadratic(CouplingLevel(-3), 7) == Invariant(12, 7)
+    assert Invariant.from_quadratic(3, 7) == Invariant(12, -7)
+    assert Invariant.from_quadratic(-3, 7) == Invariant(12, 7)
 
 
 def test_zero_is_no_root_of_unity_without_a_scan(monkeypatch):

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from acsl import (
-    CouplingLevel,
     CycNum,
     Diagram,
     FramedLink,
@@ -43,12 +42,6 @@ RECORDS = [
         FramedLink(((0, 1), (1, 0)), (1, -1), ("observed", "observed"), ("C1", "C2")),
         HOPF_REPR,
         {"linking": ((0, 1), (1, 0)), "charges": (1, 1), "roles": ("observed", "observed"), "names": ("C1", "C2")},
-    ),
-    (
-        lambda: CouplingLevel(-3),
-        CouplingLevel(3),
-        "CouplingLevel(k=-3)",
-        {"k": -3},
     ),
     (
         lambda: Invariant(12, 17),
@@ -90,10 +83,6 @@ def test_record_value_semantics(build, other, text, fields):
 
 
 def test_record_checks_run_in_the_constructor():
-    with pytest.raises(ValueError):
-        CouplingLevel(0)
-    with pytest.raises(TypeError):
-        CouplingLevel(True)
     with pytest.raises(ValueError):
         HomologyData(1, [4], 3)
     with pytest.raises(ValueError):
