@@ -1,8 +1,8 @@
 """Randomized property suites, runnable from the CLI and the test suite.
 
 Every suite draws its instances from random.Random(seed), checks an
-exact identity (and a float bound in the oracle and homology suites),
-and reports the trial and failure counts; reruns with the same seed are
+exact identity (and, in the homology suite, a float bound too), and
+reports the trial and failure counts; reruns with the same seed are
 bit-identical.
 """
 
@@ -167,12 +167,6 @@ def suite_kirby(trials: int = 500, seed: int = 0, k: int | None = None) -> dict:
     return _report("kirby", trials, seed, k, failures)
 
 
-def suite_oracle(trials: int = 200, seed: int = 0, k: int | None = None, max_terms: int = 10**6) -> dict:
-    """Exact values embed within TOLERANCE of the float summation;
-    trials whose lattices exceed max_terms are skipped and counted."""
-    return _enumerated("oracle", trials, seed, k, max_terms)
-
-
 HOMOLOGY_COUPLINGS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
 
 
@@ -190,40 +184,30 @@ def kernel_witness_holds(fl: FramedLink, k, y) -> bool:
 def suite_homology(trials: int = 1000, seed: int = 0, k: int | None = None, max_terms: int = 4096) -> dict:
     """The homological evaluator matches both enumeration oracles.
 
-    surgery_expectation is compared with the exact Gauss-sum ratio
-    (value, zero and undefined must all agree) and with the float sums
-    (within TOLERANCE, and undefined exactly when the float denominator
-    vanishes, with a kernel witness that checks).  Trials whose lattices
-    exceed max_terms are skipped and counted; undefined and zero
-    outcomes are counted, so that a run which never reached them is
-    visible.
+    Each trial draws a presentation with up to five surgery components
+    and applies zero to three Kirby moves.  surgery_expectation is
+    compared with the exact Gauss-sum ratio (value, zero and undefined
+    must all agree) and with the float sums (within TOLERANCE, and
+    undefined exactly when the float denominator vanishes, with a kernel
+    witness that checks).  Trials whose lattices exceed max_terms are
+    skipped and counted; undefined and zero outcomes are counted, so
+    that a run which never reached them is visible.
     """
-    return _enumerated("homology", trials, seed, k, max_terms)
-
-
-def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int) -> dict:
-    """The oracle and homology trials.  oracle: DEFAULT_COUPLINGS, up to
-    four surgery components, one to three Kirby moves on every third
-    trial.  homology: HOMOLOGY_COUPLINGS, up to five, zero to three
-    moves on every trial, and the exact sums and witnesses checked too."""
-    exact = suite == "homology"
     rng = random.Random(seed)
-    couplings = (k,) if k is not None else HOMOLOGY_COUPLINGS if exact else DEFAULT_COUPLINGS
+    couplings = HOMOLOGY_COUPLINGS if k is None else (k,)
     failures = []
     undefined = zero = skipped = 0
     for t in range(trials):
         kk = rng.choice(couplings)
-        fl = random_presentation(rng, max_surgery=4 + exact)
-        if exact or t % 3 == 0:
-            for _ in range(rng.randint(0 if exact else 1, 3)):
-                fl = random_kirby_move(rng, fl)
+        fl = random_presentation(rng, max_surgery=5)
+        for _ in range(rng.randint(0, 3)):
+            fl = random_kirby_move(rng, fl)
         try:
             numerator, denominator = oracle_sums(fl, kk, max_terms)
         except TermLimit:
             skipped += 1
             continue
-        if exact:
-            exact_num, exact_den = gauss_sums(fl, kk, max_terms)
+        exact_num, exact_den = gauss_sums(fl, kk, max_terms)
         try:
             got = surgery_expectation(fl, kk)
         except DenominatorZero as exc:
@@ -231,23 +215,21 @@ def _enumerated(suite: str, trials: int, seed: int, k, max_terms: int) -> dict:
         where = f"trial {t}: k={kk} {fl.linking} {fl.charges}"
         if got is None:
             undefined += 1
-            if exact and not kernel_witness_holds(fl, kk, witness):
+            if not kernel_witness_holds(fl, kk, witness):
                 failures.append(f"{where}: undefined, kernel witness {witness} fails")
-            if exact and not exact_den.is_zero:
+            if not exact_den.is_zero:
                 failures.append(f"{where}: undefined, exact ratio is defined")
             if abs(denominator) >= 1e-6:
                 failures.append(f"{where}: undefined, float denominator {abs(denominator):.2e}")
             continue
         zero += got.is_zero
-        if exact:  # got.value * exact_den: exact_den shifted by the exponent, reduced once
-            shifted = () if got.is_zero else (0,) * got.exponent + exact_den.num
-            product = CycNum.from_coeffs(got.order, shifted)
-        if exact and (exact_den.is_zero or product != exact_num):
+        # got.value * exact_den: exact_den shifted by the exponent, reduced once
+        shifted = () if got.is_zero else (0,) * got.exponent + exact_den.num
+        if exact_den.is_zero or CycNum.from_coeffs(got.order, shifted) != exact_num:
             failures.append(f"{where}: differs from the exact ratio")
         elif abs(denominator) < 1e-6 or abs(got.numeric - numerator / denominator) >= TOLERANCE:
             failures.append(f"{where}: differs from the float ratio")
-    counts = {"undefined": undefined, "zero": zero} if exact else {}
-    return _report(suite, trials, seed, k, failures, **counts, skipped=skipped)
+    return _report("homology", trials, seed, k, failures, undefined=undefined, zero=zero, skipped=skipped)
 
 
 def check_agreement(k: int, targets, rng: random.Random) -> str | None:
@@ -292,7 +274,6 @@ SUITES = {
     "periodicity": suite_periodicity,
     "satellite": suite_satellite,
     "kirby": suite_kirby,
-    "oracle": suite_oracle,
     "homology": suite_homology,
     "manifolds": suite_manifolds,
 }

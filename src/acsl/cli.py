@@ -52,10 +52,10 @@ TRIALS_LIMIT = 10**4
 HOMOLOGY_K_LIMIT = 20_000
 
 # Largest check --max-terms: the library's own cap on the colour vectors
-# of one enumeration.  At the cap, on a 2-core VM, a dense six-component
-# surgery block at k=5 takes 8-10 s in the float walk of a trial (one to
-# three observed components) and 3.2-3.5 s in the exact walk; each walk
-# yields both sums.
+# of one enumeration.  At the cap, 5 trials of check --suite homology
+# --k 7 --seed 1, which draws up to five surgery components and walks
+# both the exact and the float sums of each trial, take 9.7-10.8 s on a
+# 2-core VM.
 MAX_TERMS_LIMIT = 10**6
 
 # Most surgery components surgery takes: elimination is cubic in them, once
@@ -243,8 +243,7 @@ def _add_options(parser, name):
         parser.add_argument("--trials", type=int, default=100)
         parser.add_argument("--seed", type=int, default=0)
         parser.add_argument("--max-terms", type=int, default=None,
-                            help="enumeration term cap of the oracle and homology "
-                                 "suites (default: the suite's own)")
+                            help="enumeration term cap of the homology suite (default 4096)")
     return parser
 
 
@@ -288,8 +287,8 @@ def run(argv) -> int:
             if args.max_terms is not None:
                 if not 1 <= args.max_terms <= MAX_TERMS_LIMIT:
                     raise InputError(f"max_terms: expected 1 to {MAX_TERMS_LIMIT}, got {args.max_terms}")
-                if args.suite not in ("oracle", "homology"):
-                    raise InputError(f"max_terms: the {args.suite} suite enumerates nothing")
+                if args.suite != "homology":
+                    raise InputError(f"max_terms: only the homology suite takes it, not {args.suite}")
                 kwargs["max_terms"] = args.max_terms
             limit = HOMOLOGY_K_LIMIT if args.suite == "homology" else K_LIMIT
             # without --k, the suite draws from its own mixed couplings
@@ -300,9 +299,11 @@ def run(argv) -> int:
 
         if args.input is None:
             raise InputError("--input is required")
+        # --k is checked before the input is read, a top-level "k" after
+        k = None if args.k is None else _coupling(args.k, K_LIMIT)
         obj = _read_json(args.input)
-        k = args.k if args.k is not None else obj.get("k") if isinstance(obj, dict) else None
-        k = _coupling(k, K_LIMIT)
+        if k is None:
+            k = _coupling(obj.get("k") if isinstance(obj, dict) else None, K_LIMIT)
 
         if args.command == "s3":
             fl = link_from_object(obj)

@@ -201,17 +201,17 @@ def test_check_suite(tmp_path, capsys):
 
 
 def test_check_all_suites_small(capsys):
-    for suite in ("periodicity", "satellite", "oracle", "homology", "manifolds"):
+    for suite in ("periodicity", "satellite", "homology", "manifolds"):
         code, out, _ = run_json(
             capsys, ["check", "--suite", suite, "--trials", "10", "--seed", "1"]
         )
         assert code == 0 and out["passed"] is True
 
 
-def test_oracle_suite_counts_skipped_trials(capsys):
+def test_homology_suite_counts_skipped_trials(capsys):
     code, out, _ = run_json(
         capsys,
-        ["check", "--suite", "oracle", "--trials", "20", "--max-terms", "1", "--seed", "0"],
+        ["check", "--suite", "homology", "--trials", "20", "--max-terms", "1", "--seed", "0"],
     )
     assert code == 0
     assert out["skipped"] > 0
@@ -222,6 +222,11 @@ def test_unknown_suite_is_input_error(capsys):
     assert code == 2 and out is None
     assert err["error"] == "InputError"
     assert err["message"].startswith("suite:")
+    code, out, err = run_json(capsys, ["check", "--suite", "oracle", "--trials", "5"])
+    assert (code, out, err["error"]) == (2, None, "InputError")
+    assert err["message"] == (
+        "suite: expected one of periodicity, satellite, kirby, homology, manifolds, got 'oracle'"
+    )
 
 
 @pytest.mark.parametrize(
@@ -314,7 +319,7 @@ def test_run_builds_only_the_named_subparser(tmp_path, capsys, monkeypatch):
 
 def test_max_terms_below_one_is_input_error(capsys):
     code, out, err = run_json(
-        capsys, ["check", "--suite", "oracle", "--trials", "2", "--max-terms", "0"]
+        capsys, ["check", "--suite", "homology", "--trials", "2", "--max-terms", "0"]
     )
     assert code == 2 and out is None
     assert err["message"].startswith("max_terms:")
@@ -332,7 +337,7 @@ def test_max_terms_above_the_limit_is_input_error(capsys, max_terms):
     assert err["message"].startswith("max_terms:")
 
 
-@pytest.mark.parametrize("suite, trials", [("kirby", TRIALS_LIMIT + 1), ("oracle", 10**9), ("homology", 0)])
+@pytest.mark.parametrize("suite, trials", [("kirby", TRIALS_LIMIT + 1), ("homology", 10**9), ("homology", 0)])
 def test_trials_outside_the_limit_is_input_error(capsys, suite, trials):
     assert TRIALS_LIMIT == 10**4
     start = time.perf_counter()
@@ -359,7 +364,7 @@ def test_max_terms_is_input_error_where_nothing_is_enumerated(capsys, suite):
     )
     assert code == 2 and out is None
     assert err["error"] == "InputError"
-    assert err["message"].startswith("max_terms:")
+    assert err["message"] == f"max_terms: only the homology suite takes it, not {suite}"
 
 
 def test_cli_output_is_deterministic(tmp_path, capsys):
@@ -592,6 +597,11 @@ def test_huge_k_is_refused_before_any_allocation(tmp_path, capsys):
             assert time.perf_counter() - start < 1, (command, k)
             assert (code, out, err["error"]) == (2, None, "InputError"), (command, k)
             assert err["message"].startswith("k:"), (command, k)
+        # a bad --k is refused before the input is read
+        for k, message in (("0", "k: coupling must be nonzero"),
+                           ("100001", "k: |k| = 100001 exceeds the limit of 100000")):
+            code, out, err = run_json(capsys, [command, "--input", str(tmp_path / "MISSING.json"), "--k", k])
+            assert (code, out, err["error"], err["message"]) == (2, None, "InputError", message), (command, k)
     code, out, err = run_json(capsys, ["check", "--suite", "kirby", "--k", "0"])
     assert (code, out) == (2, None) and err["message"] == "k: coupling must be nonzero"
     path = write(tmp_path, "hopf_k.json", {**HOPF, "k": 100_001})
@@ -660,8 +670,6 @@ def test_every_suite_limits_k(monkeypatch, capsys):
                 assert err["message"] == f"k: |k| = {abs(k)} exceeds the limit of {limit}"
     for suite, limit in limits.items():
         argv = ["--suite", suite, "--trials", "2", "--k", str(-limit)]
-        if suite == "oracle":
-            argv += ["--max-terms", "10"]
         code, out, _ = run_json(capsys, ["check", *argv])
         assert (code, out["passed"]) == (0, True), argv
 

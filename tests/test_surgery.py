@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from operator import mul
@@ -32,6 +33,7 @@ from acsl.checks import (
     random_presentation,
     suite_homology,
 )
+from acsl.cli import SURGERY_LIMIT
 from acsl.surgery import NotIsolated, NotSurgery, NotUnitFramed, _solve_local
 
 
@@ -367,6 +369,42 @@ def test_homology_suite_reaches_every_outcome():
     assert report["undefined"] > 0 and report["zero"] > 0
     assert report["skipped"] < report["trials"] // 2
 
+
+
+def test_lens_chains_match_their_continuants():
+    """A chain of s surgery unknots with framings a_i, 2 <= |a_i| <= 5,
+    neighbours linked once, and an observed meridian of the first with
+    framing f and charge Q.  The continuants D = K(a_1..a_s) = det A and
+    D1 = K(a_2..a_s) give (A^-1)_11 = D1/D, so when gcd(D, 4|k|) = 1 the
+    exponent is -sign(k) Q^2 (f - D1 D^-1) mod 4|k|."""
+    rng = random.Random(26)
+    compared = longest = 0
+    for t in range(600):
+        s = SURGERY_LIMIT if t % 20 == 0 else rng.randint(1, SURGERY_LIMIT)
+        k = rng.choice((1, 2, 3, -5, 7, 99991, -65536, 30030, 100000))
+        a = [rng.choice((-1, 1)) * rng.randint(2, 5) for _ in range(s)]
+        f, charge = rng.randint(-5, 5), rng.randint(-6, 6)
+        # K_j = a_j K_{j-1} - K_{j-2}, run from a_s down to a_1
+        d1, d = 0, 1
+        for x in reversed(a):
+            d1, d = d, x * d - d1
+        n = 4 * abs(k)
+        if math.gcd(d, n) != 1:
+            continue
+        rows = [[0] * (s + 1) for _ in range(s + 1)]
+        for i, x in enumerate(a):
+            rows[i][i] = x
+            if i + 1 < s:
+                rows[i][i + 1] = rows[i + 1][i] = 1
+        rows[0][s] = rows[s][0] = 1
+        rows[s][s] = f
+        fl = presentation(rows, charges=[0] * s + [charge], roles=["surgery"] * s + ["observed"])
+        got = surgery_expectation(fl, k)
+        expected = -(1 if k > 0 else -1) * charge**2 * (f - d1 * pow(d, -1, n)) % n
+        assert (got.order, got.exponent) == (n, expected), (k, a, f, charge)
+        compared += 1
+        longest = max(longest, s)
+    assert compared >= 200 and longest == SURGERY_LIMIT
 
 
 def test_denominator_zero_carries_its_kernel_vector():
